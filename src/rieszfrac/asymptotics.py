@@ -297,7 +297,13 @@ def geometric_limit(fractal: Fractal, s: float, n0: int, k_max: int,
     Minimizes at n0 points, lifts k_max times (polishing each stage unless
     polish=False), and reports the last normalized value as the estimate
     together with the analytic tail bounds.  With polish=False the stages
-    are the raw iterated lifts, whose deltas obey the tail bound exactly.
+    are the raw iterated lifts, whose deltas obey the tail bound in exact
+    arithmetic only.  Coordinates are rounded to one unit roundoff eps, which
+    moves a kernel term by a relative s * eps / delta_min, with delta_min
+    the least pair distance.  At large N the tail bound is smaller than that
+    rounding, so a computed delta can exceed it (a delta of 1.5e-13 against
+    a bound of 5.9e-14 has been seen at N = 8192, s = 3, on a Cantor set of
+    ratio near 1/3).
     """
     _require_equal_ratios(fractal, "geometric limit")
     d = fractal.dimension

@@ -1,9 +1,11 @@
 """Riesz pair energies and geometric statistics of point configurations.
 
 Energy convention: E_s(x_1..x_N) = sum over ordered pairs i != j of
-|x_i - x_j|**(-s), so every unordered pair is counted twice.  All sums are
-evaluated through fixed-shape numpy reductions in i-major order, which keeps
-results bit-stable across process thread counts.
+|x_i - x_j|**(-s), so every unordered pair is counted twice.  Every distance
+loop runs over fixed row blocks of PAIR_BLOCK points in row order; within one
+configuration it covers only the upper triangle i < j, and the energy sum is
+doubled at the end.  Memory stays O(N * PAIR_BLOCK) and results bit-stable
+across process thread counts.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularConfigurationError
-from .fractal import CellAddress, Fractal, cell_anchor, cell_diameter, anchor_cloud
+from .fractal import CellAddress, Fractal, _sq_dists, anchor_cloud, cell_anchor, cell_diameter
 
 ENERGY_CONVENTION = "ordered-pairs"
+# rows per block of the pair loops; each block holds O(N * PAIR_BLOCK) floats
+PAIR_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,12 +80,33 @@ def _as_points(config) -> np.ndarray:
     return pts
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(K, N) squared distances, accumulated coordinate by coordinate."""
-    d2 = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        d2 += (a[:, k, None] - b[None, :, k]) ** 2
-    return d2
+def _row_blocks(a: np.ndarray, b: np.ndarray = None):
+    """Squared distances, PAIR_BLOCK rows of `a` at a time, in row order.
+
+    Against `b` each block holds its rows' distances to all of b.  With b
+    omitted it covers the pairs i < j of `a`: rows i0.. against the points
+    from i0 on, with the entries on or below the diagonal set to inf.
+    """
+    for i0 in range(0, a.shape[0], PAIR_BLOCK):
+        rows = a[i0 : i0 + PAIR_BLOCK]
+        if b is not None:
+            yield _sq_dists(rows, b)
+        else:
+            d2 = _sq_dists(rows, a[i0:])
+            k = rows.shape[0]
+            d2[:, :k][np.tri(k, dtype=bool)] = np.inf
+            yield d2
+
+
+def _kernel_sum(blocks, s: float, singular: str) -> float:
+    """Sum of d2**(-s/2) over the blocks; a zero distance raises `singular`."""
+    total = 0.0
+    for d2 in blocks:
+        if not d2.all():
+            raise SingularConfigurationError(singular)
+        with np.errstate(over="ignore"):
+            total += float(np.sum(np.power(d2, -0.5 * s, out=d2)))
+    return total
 
 
 def riesz_energy(config, s: float) -> float:
@@ -92,17 +117,8 @@ def riesz_energy(config, s: float) -> float:
     """
     if s <= 0.0:
         raise DomainError(f"exponent s must be positive, got {s}")
-    pts = _as_points(config)
-    n = pts.shape[0]
-    if n == 1:
-        return 0.0
-    d2 = _sq_dists(pts, pts)
-    if int(np.count_nonzero(d2 == 0.0)) > n:
-        raise SingularConfigurationError("configuration contains coincident points")
-    np.fill_diagonal(d2, np.inf)
-    with np.errstate(over="ignore"):
-        kernel = d2 ** (-0.5 * s)
-    return float(np.sum(kernel))
+    blocks = _row_blocks(_as_points(config))
+    return 2.0 * _kernel_sum(blocks, s, "configuration contains coincident points")
 
 
 def normalized_energy(energy: float, n: int, s: float, d: float) -> float:
@@ -139,14 +155,8 @@ def cross_energy(part1, part2, s: float) -> float:
     """Ordered-pair interaction between two disjoint parts (both directions)."""
     if s <= 0.0:
         raise DomainError(f"exponent s must be positive, got {s}")
-    a = _as_points(part1)
-    b = _as_points(part2)
-    d2 = _sq_dists(a, b)
-    if np.any(d2 == 0.0):
-        raise SingularConfigurationError("parts share a point")
-    with np.errstate(over="ignore"):
-        kernel = d2 ** (-0.5 * s)
-    return 2.0 * float(np.sum(kernel))
+    blocks = _row_blocks(_as_points(part1), _as_points(part2))
+    return 2.0 * _kernel_sum(blocks, s, "parts share a point")
 
 
 def point_energy_sums(candidates, config, s: float, skip_index: int = None) -> np.ndarray:
@@ -156,13 +166,16 @@ def point_energy_sums(candidates, config, s: float, skip_index: int = None) -> n
     callers decide how to treat infinite candidates.
     """
     cands = _as_points(candidates)
-    pts = _as_points(config)
-    d2 = _sq_dists(cands, pts)
-    with np.errstate(divide="ignore", over="ignore"):
-        kernel = d2 ** (-0.5 * s)
-    if skip_index is not None:
-        kernel[:, skip_index] = 0.0
-    return kernel.sum(axis=1)
+    sums = np.empty(cands.shape[0])
+    i0 = 0
+    for d2 in _row_blocks(cands, _as_points(config)):
+        with np.errstate(divide="ignore", over="ignore"):
+            np.power(d2, -0.5 * s, out=d2)
+        if skip_index is not None:
+            d2[:, skip_index] = 0.0
+        d2.sum(axis=1, out=sums[i0 : i0 + d2.shape[0]])
+        i0 += d2.shape[0]
+    return sums
 
 
 def min_point_energy(config, candidates, s: float):
@@ -187,9 +200,7 @@ def min_pairwise_distance(config) -> float:
     pts = _as_points(config)
     if pts.shape[0] < 2:
         raise DomainError("need at least two points")
-    d2 = _sq_dists(pts, pts)
-    np.fill_diagonal(d2, np.inf)
-    return math.sqrt(float(d2.min()))
+    return math.sqrt(min(float(d2.min()) for d2 in _row_blocks(pts)))
 
 
 def covering_radius(config, mesh, slack: float = 0.0):
@@ -202,8 +213,8 @@ def covering_radius(config, mesh, slack: float = 0.0):
     mesh_pts = _as_points(mesh)
     if mesh_pts.shape[0] < 1:
         raise DomainError("mesh must be nonempty")
-    d2 = _sq_dists(mesh_pts, pts)
-    radius = math.sqrt(float(d2.min(axis=1).max()))
+    radius = math.sqrt(max(float(d2.min(axis=1).max())
+                           for d2 in _row_blocks(mesh_pts, pts)))
     return radius, float(slack)
 
 

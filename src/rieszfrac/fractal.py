@@ -325,15 +325,20 @@ def anchor_cloud(fractal: Fractal, depth: int, budget: int = DEFAULT_CLOUD_BUDGE
     return pts
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(K, N) squared distances, accumulated coordinate by coordinate."""
+    d2 = (a[:, 0, None] - b[None, :, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        d2 += (a[:, k, None] - b[None, :, k]) ** 2
+    return d2
+
+
 def _chunked_sq_dists(a: np.ndarray, b: np.ndarray, reduce_min: bool) -> float:
     """Min or max squared distance between two point clouds, in bounded memory."""
     best = math.inf if reduce_min else -math.inf
     step = 1024
     for i in range(0, a.shape[0], step):
-        blk = a[i : i + step]
-        d2 = np.zeros((blk.shape[0], b.shape[0]))
-        for k in range(a.shape[1]):
-            d2 += (blk[:, k, None] - b[None, :, k]) ** 2
+        d2 = _sq_dists(a[i : i + step], b)
         val = float(d2.min()) if reduce_min else float(d2.max())
         best = min(best, val) if reduce_min else max(best, val)
     return best

@@ -16,20 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (
-    Configuration,
-    EnergyRecord,
-    _sq_dists,
-    point_energy_sums,
-    riesz_energy,
-)
+from .energy import Configuration, EnergyRecord, point_energy_sums, riesz_energy
 from .errors import (
     DomainError,
     HypothesisError,
     ResourceBudgetError,
     SingularConfigurationError,
 )
-from .fractal import CellAddress, Fractal, anchor_cloud
+from .fractal import CellAddress, Fractal, _sq_dists, anchor_cloud
 from .parallel import parallel_map, spawned_rngs
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
@@ -433,19 +427,22 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
         prev_energy = results[-1].record.energy
         n_prev = len(state.words)
         state = _lift_state(fractal, state)
+        if fractal.equal_ratios or not polish:
+            # the raw lift's record is both the unpolished stage and the
+            # energy the lift bound is checked on
+            stage = _state_result(fractal, s, state, "lift-seeded", False, 0)
         if fractal.equal_ratios:
-            lifted = riesz_energy(state.pts, s)
             bound = (M ** (1.0 + s / d)) * prev_energy \
                 + (fractal.sigma ** (-s)) * n_prev * n_prev * M * M
-            if lifted > bound * (1.0 + 1e-9):
+            if stage.record.energy > bound * (1.0 + 1e-9):
                 raise AssertionError(
                     f"lift energy bound violated at N={len(state.words)}"
                 )
-        moves = 0
         if polish:
             max_depth = max(len(w) for w in state.words) + 8
             state, _, moves = _run_search(fractal, s, state, opts, max_depth, mesh)
-        results.append(_state_result(fractal, s, state, "lift-seeded", False, moves))
+            stage = _state_result(fractal, s, state, "lift-seeded", False, moves)
+        results.append(stage)
     return results
 
 

@@ -98,6 +98,11 @@ def test_energy_overflow_is_inf_not_error():
     # distinct points whose kernel term overflows double range
     assert rf.riesz_energy([0.0, 1e-100], s=4.0) == math.inf
     assert rf.riesz_energy([0.0, 1e-100], s=1.0) == 2e100
+    # finite terms of 1e308 in two row blocks: each block sum is finite,
+    # their total is not
+    pts = np.column_stack([np.arange(2.0 * B), np.full(2 * B, 5.0)])
+    pts[[0, 1, B, B + 1]] = [[0.0, 0.0], [1e-77, 0.0], [0.0, 1.0], [1e-77, 1.0]]
+    assert rf.riesz_energy(pts, s=4.0) == math.inf
 
 
 def test_energy_rejects_nonpositive_s():
@@ -105,6 +110,70 @@ def test_energy_rejects_nonpositive_s():
         rf.riesz_energy([0.0, 1.0], s=0.0)
     with pytest.raises(rf.DomainError):
         rf.riesz_energy([0.0, 1.0], s=-2.0)
+
+
+# ------------------------------------------------------------ row blocks
+
+B = rf.energy.PAIR_BLOCK
+
+
+def _brute_sq_dists(pts):
+    """Squared distance of every pair i < j, summed coordinate by coordinate."""
+    rows = pts.tolist()
+    return [sum((a - b) ** 2 for a, b in zip(p, q))
+            for i, p in enumerate(rows) for q in rows[i + 1 :]]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 5])
+def test_blocked_pair_kernels_match_brute_force(rng, n, dim):
+    pts = rng.random((n, dim))
+    # closest pair: straddles the first block boundary whenever there is one
+    i = B - 1 if n > B else n - 2
+    pts[i + 1] = pts[i] + 1e-9
+    d2 = _brute_sq_dists(pts)
+    s = 3.0
+    expected = 2.0 * math.fsum(x ** (-0.5 * s) for x in d2)
+    assert rf.riesz_energy(pts, s) == pytest.approx(expected, rel=1e-13)
+    assert rf.min_pairwise_distance(pts) == math.sqrt(min(d2))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_coincident_pair_across_blocks_raises(rng, dim):
+    pts = rng.random((2 * B + 3, dim))
+    pts[2 * B + 1] = pts[1]
+    with pytest.raises(rf.SingularConfigurationError):
+        rf.riesz_energy(pts, s=2.0)
+    with pytest.raises(rf.SingularConfigurationError):
+        rf.cross_energy(pts[: B + 2], pts[B + 2 :], s=2.0)
+
+
+def test_blocked_cross_energy_and_covering_radius(rng):
+    a = rng.random((B + 3, 2))
+    b = rng.random((2 * B + 1, 2)) + 2.0
+    s = 2.5
+    pairs = [math.fsum((x - y) ** 2 for x, y in zip(p, q)) for p in a for q in b]
+    assert rf.cross_energy(a, b, s) == pytest.approx(
+        2.0 * math.fsum(x ** (-0.5 * s) for x in pairs), rel=1e-13)
+    radius, _ = rf.covering_radius(a, b)
+    expected = max(min(np.linalg.norm(q - p) for p in a) for q in b)
+    assert radius == pytest.approx(expected, rel=1e-14)
+
+
+def test_unpolished_lift_chain_evaluates_each_stage_once(monkeypatch, cantor13):
+    calls = []
+    energy = rf.energy.riesz_energy
+
+    def counted(config, s):
+        calls.append(rf.energy._as_points(config).shape[0])
+        return energy(config, s)
+
+    monkeypatch.setattr(rf.energy, "riesz_energy", counted)
+    monkeypatch.setattr(rf.minimize, "riesz_energy", counted)
+    opts = rf.SearchOptions(seed=0, restarts=1)
+    stages = rf.lift_chain(cantor13, 3.0, 2, 4, opts=opts, polish=False)
+    for st in stages[1:]:
+        assert calls.count(st.record.N) == 1
 
 
 # ---------------------------------------------------------- normalized energy

@@ -205,6 +205,14 @@ def test_lift_energy_bound(cantor13):
     assert e_lift <= bound * (1.0 + 1e-12)
 
 
+def test_lift_chain_bound_fires_on_overstated_sigma(cantor13):
+    # a declared sigma far above the true gap makes the cross term too small
+    liar = rf.make_fractal(cantor13.maps, label="liar", diameter=1.0, sigma=10.0)
+    for polish in (False, True):
+        with pytest.raises(AssertionError, match="lift energy bound violated"):
+            rf.lift_chain(liar, 3.0, 1, 1, polish=polish)
+
+
 def test_lift_collision_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
