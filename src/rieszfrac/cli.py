@@ -3,7 +3,8 @@
 Every run is a pure function of its flags (or config document): numeric CSV
 columns are printed at 17 significant digits, summaries are sorted JSON, and
 no timestamps or environment details are written, so reruns are
-byte-identical regardless of RIESZ_THREADS.
+byte-identical.  Multi-start searches run their restarts in order in one
+thread; RIESZ_THREADS is no longer read.
 """
 
 from __future__ import annotations
@@ -103,12 +104,11 @@ def _run_minimize(fractal, params: dict, out_dir: str) -> dict:
         raise UsageError("minimize needs n")
     s = params["s"]
     opts = _search_options(params)
+    depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), n)
     if opts.strategy == "exhaustive":
-        depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), n)
         budget = params.get("subset_budget", DEFAULT_SUBSET_BUDGET)
         result = exhaustive_minimize(fractal, n, s, depth, budget=budget)
     else:
-        depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), n)
         result = local_search_minimize(fractal, n, s, opts)
     delta = min_pairwise_distance(result.config)
     write_table(

@@ -178,6 +178,21 @@ def point_energy_sums(candidates, config, s: float, skip_index: int = None) -> n
     return sums
 
 
+def _point_kernel(candidates: np.ndarray, config: np.ndarray, s: float) -> np.ndarray:
+    """(K, N) array of |y - x_j|**(-s), a coincidence giving inf.
+
+    Built over the same contiguous blocks as point_energy_sums, so every
+    entry is the float that point_energy_sums adds up.
+    """
+    out = np.empty((candidates.shape[0], config.shape[0]))
+    i0 = 0
+    for d2 in _row_blocks(candidates, config):
+        with np.errstate(divide="ignore", over="ignore"):
+            np.power(d2, -0.5 * s, out=out[i0 : i0 + d2.shape[0]])
+        i0 += d2.shape[0]
+    return out
+
+
 def min_point_energy(config, candidates, s: float):
     """(best point, value): the candidate with least kernel sum to the config.
 

@@ -369,20 +369,11 @@ def separation_sigma(fractal: Fractal, depth: int, budget: int = DEFAULT_SCAN_BU
     cell diameter.  Clamped at 0 (with a warning) when nothing positive can
     be certified.
     """
-    M = len(fractal.maps)
-    if M < 2:
+    if len(fractal.maps) < 2:
         raise DomainError("separation needs at least two maps")
     if depth < 1:
         raise DomainError("depth must be at least 1")
-    pts = anchor_cloud(fractal, depth, budget=budget)
-    block = M ** (depth - 1)
-    cross = math.inf
-    for i in range(M):
-        for j in range(i + 1, M):
-            a = pts[i * block : (i + 1) * block]
-            b = pts[j * block : (j + 1) * block]
-            cross = min(cross, _chunked_sq_dists(a, b, reduce_min=True))
-    cross = math.sqrt(max(cross, 0.0))
+    cross = first_level_cloud_distance(fractal, depth, budget=budget)
     slack = 2.0 * (fractal.r_max ** depth) * fractal.diameter
     bound = cross - slack
     if bound <= 0.0:

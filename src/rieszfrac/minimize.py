@@ -16,7 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import Configuration, EnergyRecord, point_energy_sums, riesz_energy
+from .energy import (
+    Configuration,
+    EnergyRecord,
+    _point_kernel,
+    point_energy_sums,
+    riesz_energy,
+)
 from .errors import (
     DomainError,
     HypothesisError,
@@ -24,7 +30,7 @@ from .errors import (
     SingularConfigurationError,
 )
 from .fractal import CellAddress, Fractal, _sq_dists, anchor_cloud
-from .parallel import parallel_map, spawned_rngs
+from .parallel import spawned_rngs
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
 # whole-level relocation moves are offered while M**depth stays below this;
@@ -93,12 +99,22 @@ class _State:
 
 
 class _Mesh:
-    """Lazily built symbolic levels; rows ordered word-major, base-minor."""
+    """Lazily built symbolic levels and cached cell blocks.
+
+    Level rows are ordered word-major, base-minor, so row q*M**2 + (m-1)*M +
+    (b-1) of level d is the point with base b whose word is the (q+1)-th
+    word of depth d-1 followed by m.  The block of a word w is
+    apply_word(w, level 1): the same layout with the word w in place of the
+    depth d-1 prefix.  A point's sibling candidates are its parent's block and
+    its child candidates its own.  Blocks are cached by word and hold
+    coordinates only.  Restarts run in order, so one mesh serves them all.
+    """
 
     def __init__(self, fractal: Fractal, budget: int = 1 << 18):
         self.fractal = fractal
         self.budget = budget
         self._levels = {}
+        self._blocks = {}
 
     def level(self, depth: int):
         if depth not in self._levels:
@@ -115,6 +131,26 @@ class _Mesh:
             bases = [b for _ in range(M ** depth) for b in range(1, M + 1)]
             self._levels[depth] = (coords, words, bases)
         return self._levels[depth]
+
+    def block(self, word):
+        coords = self._blocks.get(word)
+        if coords is None:
+            coords = self._blocks[word] = self.fractal.apply_word(word, self.level(1)[0])
+        return coords
+
+
+def _row_label(prefix, tail_len: int, row: int, M: int):
+    """(word, base) of `row` in a block laid out as described on _Mesh.
+
+    tail_len is the number of letters between prefix and the last letter:
+    depth - 1 for a whole level (prefix ()), 0 for a cell block.
+    """
+    q, rem = divmod(row, M * M)
+    tail = []
+    for _ in range(tail_len):
+        q, r = divmod(q, M)
+        tail.append(r + 1)
+    return prefix + tuple(reversed(tail)) + (rem // M + 1,), rem % M + 1
 
 
 def _auto_depth(M: int, N: int) -> int:
@@ -137,64 +173,82 @@ def _farthest_point_indices(coords: np.ndarray, N: int):
     return chosen
 
 
-def _candidate_block(mesh: _Mesh, word, max_depth: int):
-    """Relocation and descent targets for a point currently at `word`."""
-    f = mesh.fractal
-    M = len(f.maps)
-    level1_coords, level1_words, level1_bases = mesh.level(1)
-    depth = len(word)
-    blocks = []
-    words = []
-    bases = []
-    if M ** depth <= LEVEL_MOVE_CAP and depth >= 1:
-        c, w, b = mesh.level(depth)
-        blocks.append(c)
-        words.extend(w)
-        bases.extend(b)
-    elif depth >= 1:
-        parent = word[:-1]
-        blocks.append(f.apply_word(parent, level1_coords))
-        words.extend(parent + lw for lw in level1_words)
-        bases.extend(level1_bases)
-    if depth < max_depth:
-        blocks.append(f.apply_word(word, level1_coords))
-        words.extend(word + lw for lw in level1_words)
-        bases.extend(level1_bases)
-    if not blocks:
-        return None
-    return np.concatenate(blocks, axis=0), words, bases
+def _level_values(G: np.ndarray, i: int) -> np.ndarray:
+    """Row sums of G without column i: it is set to 0.0, summed and restored."""
+    saved = G[:, i].copy()
+    G[:, i] = 0.0
+    values = G.sum(axis=1)
+    G[:, i] = saved
+    return values
 
 
 def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mesh,
-           budget_left: int) -> int:
-    """One pass of best-improvement single-point moves; returns accepted count."""
+           kernels: dict, budget_left: int) -> int:
+    """One pass of best-improvement single-point moves; returns accepted count.
+
+    Point i is offered the whole level of its depth d while M**d stays within
+    LEVEL_MOVE_CAP, otherwise its sibling cells, plus its child cells while
+    d < max_depth.  Level values are row sums of the kernel G_d in `kernels`
+    (level d row against every point) with column i set to 0, the summands
+    point_energy_sums(..., skip_index=i) would form; an accepted move
+    recomputes column i of every G_d kept.  Cell blocks come from the mesh
+    cache.  Restarts run in order, so nothing here is shared across threads.
+    """
+    M = len(fractal.maps)
+    pts = state.pts
     accepted = 0
-    n = len(state.words)
-    for i in range(n):
+    for i in range(len(state.words)):
         if accepted >= budget_left:
             break
-        block = _candidate_block(mesh, state.words[i], max_depth)
-        if block is None:
+        word = state.words[i]
+        depth = len(word)
+        level = depth >= 1 and M ** depth <= LEVEL_MOVE_CAP
+        # (coords, prefix, tail_len) per candidate block, in offer order
+        blocks = []
+        if level:
+            blocks.append((mesh.level(depth)[0], (), depth - 1))
+        elif depth >= 1:
+            blocks.append((mesh.block(word[:-1]), word[:-1], 0))
+        if depth < max_depth:
+            blocks.append((mesh.block(word), word, 0))
+        if not blocks:
             continue
-        coords, words, bases = block
-        current = point_energy_sums(state.pts[i][None, :], state.pts, s, skip_index=i)[0]
-        values = point_energy_sums(coords, state.pts, s, skip_index=i)
+        cells = [pts[i][None, :]] + [c for c, _, _ in (blocks[1:] if level else blocks)]
+        sums = point_energy_sums(np.concatenate(cells, axis=0), pts, s, skip_index=i)
+        current = sums[0]
+        values = sums[1:]
+        if level:
+            G = kernels.get(depth)
+            if G is None:
+                G = kernels[depth] = _point_kernel(blocks[0][0], pts, s)
+            values = np.concatenate([_level_values(G, i), values])
         j = int(np.argmin(values))
         if values[j] < current - 1e-12 * (1.0 + abs(current)):
-            state.words[i] = tuple(words[j])
-            state.bases[i] = bases[j]
-            state.pts[i] = coords[j]
+            for coords, prefix, tail_len in blocks:
+                if j < coords.shape[0]:
+                    break
+                j -= coords.shape[0]
+            state.words[i], state.bases[i] = _row_label(prefix, tail_len, j, M)
+            pts[i] = coords[j]
+            for d, G in kernels.items():
+                G[:, i] = _point_kernel(mesh.level(d)[0], pts[i : i + 1], s)[:, 0]
             accepted += 1
     return accepted
 
 
 def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
+    """Sweep until no move improves, the move budget is spent or _MAX_SWEEPS.
+
+    The level kernels built by the first sweep that needs them are kept,
+    column by column current, for every later sweep.
+    """
+    kernels = {}
     total = 0
     for _ in range(_MAX_SWEEPS):
         left = opts.moves_budget - total
         if left <= 0:
             break
-        accepted = _sweep(fractal, s, state, max_depth, mesh, left)
+        accepted = _sweep(fractal, s, state, max_depth, mesh, kernels, left)
         total += accepted
         if accepted == 0:
             break
@@ -267,7 +321,6 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
 def _refine_in_cells(fractal, s, state: _State, max_depth: int):
     """Greedy descent of each point through child anchors, within its cell."""
     first_level = np.stack([m.apply(fractal.base_anchor()) for m in fractal.maps])
-    M = len(fractal.maps)
     for _ in range(_MAX_SWEEPS):
         improved = False
         for i in range(len(state.words)):
@@ -317,7 +370,7 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
                     [bases[i] for i in indices], coords[list(indices)])
         return _run_search(fractal, s, st, opts, max_depth, mesh)
 
-    outcomes = parallel_map(run, starts)
+    outcomes = [run(st) for st in starts]
     best_i = min(range(len(outcomes)), key=lambda i: (outcomes[i][1], i))
     state, energy, moves = outcomes[best_i]
     return state, energy, moves

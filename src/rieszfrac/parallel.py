@@ -1,42 +1,14 @@
-"""Deterministic task fan-out.
+"""Deterministic per-task randomness.
 
-RIESZ_THREADS caps the worker thread count.  Tasks are independent; results
-are always collected in submission order and every task draws randomness
-from its own spawned generator, so outputs do not depend on the worker count.
+Multi-start searches run their restarts in order, one after another; a
+thread pool bought nothing for these GIL-bound numpy loops, so none is used
+and RIESZ_THREADS is no longer read.  Every restart draws randomness from
+its own spawned generator, a pure function of (seed, index).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-from .errors import UsageError
-
-ENV_VAR = "RIESZ_THREADS"
-
-
-def worker_count() -> int:
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise UsageError(f"{ENV_VAR} must be at least 1, got {n}")
-    return n
-
-
-def parallel_map(fn, items):
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def spawned_rngs(seed: int, count: int):

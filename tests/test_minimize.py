@@ -172,6 +172,67 @@ def test_search_options_validation():
         rf.SearchOptions(depth=0)
 
 
+# Exact energies and winning-restart move counts of the search before the
+# level kernels and cached cell blocks; any change to them, even in the last
+# bit, means the sweep no longer forms the same sums in the same order.
+@pytest.mark.parametrize("fractal, N, s, seed, energy, iterations", [
+    ("cantor13", 96, 3.0, 1, 29755831844.579777, 34),
+    ("cantor13", 512, 3.0, 0, 242508930724226.22, 0),
+    ("dust14", 48, 4.0, 0, 4999438.157820989, 24),
+    ("mixed_fractal", 64, 3.0, 0, 663987672.9679904, 21),
+])
+def test_local_search_regression_anchors(request, fractal, N, s, seed, energy, iterations):
+    f = rf.from_catalog("cantor-dust-2d(1/4)") if fractal == "dust14" \
+        else request.getfixturevalue(fractal)
+    res = rf.local_search_minimize(f, N, s, rf.SearchOptions(restarts=3, seed=seed))
+    assert res.record.energy == energy
+    assert res.iterations == iterations
+
+
+def test_lift_chain_regression_anchors(cantor13):
+    stages = rf.lift_chain(cantor13, 3.0, 3, 4, rf.SearchOptions(restarts=2, seed=0),
+                           polish=True)
+    assert [st.record.energy for st in stages] == [
+        62.75000000000001, 3491.2740413629763, 188938.48157890895,
+        10204211.13212981, 551033473.7413087]
+
+
+def test_level_kernels_match_fresh_sums_bitwise(cantor13):
+    from rieszfrac.energy import _point_kernel
+    from rieszfrac.minimize import _level_values, _Mesh, _State, _sweep
+
+    s, N, depth = 3.0, 24, 5
+    mesh = _Mesh(cantor13)
+    coords, words, bases = mesh.level(depth)
+    idx = np.sort(np.random.default_rng(5).choice(len(words), size=N, replace=False))
+    state = _State([words[i] for i in idx], [bases[i] for i in idx], coords[idx])
+    kernels = {}
+    accepted = []
+    while not accepted or accepted[-1] > 0:
+        accepted.append(_sweep(cantor13, s, state, depth + 2, mesh, kernels, 10_000))
+        # the last sweep accepts nothing, so every column there was zeroed
+        # and restored; a kept G_d must still be the kernel of the points
+        for d, G in kernels.items():
+            assert G.tobytes() == _point_kernel(mesh.level(d)[0], state.pts, s).tobytes()
+    assert sum(accepted) > 0 and len(kernels) >= 2
+    M = len(cantor13.maps)
+    level1 = mesh.level(1)[0]
+    for w, b, pt in zip(state.words, state.bases, state.pts):
+        expected = cantor13.apply_word(w[:-1], level1)[(w[-1] - 1) * M + b - 1]
+        assert pt == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    saw_inf = False
+    for d, G in kernels.items():
+        before = G.tobytes()
+        for i in range(N):
+            values = _level_values(G, i)
+            fresh = rf.point_energy_sums(mesh.level(d)[0], state.pts, s, skip_index=i)
+            assert values.tobytes() == fresh.tobytes()
+            assert G.tobytes() == before
+            saw_inf = saw_inf or bool(np.isinf(values).any())
+    # some level row sits on a configuration point, so its row holds inf
+    assert saw_inf
+
+
 # ----------------------------------------------------------------------- lift
 
 def test_lift_cantor_endpoints(cantor13):
