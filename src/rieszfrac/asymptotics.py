@@ -26,8 +26,8 @@ from .fractal import CellAddress, Fractal, anchor_cloud, cell_diameter
 from .minimize import (
     MinimizeResult,
     SearchOptions,
+    _lift_chain,
     exhaustive_minimize,
-    lift_chain,
     local_search_minimize,
 )
 
@@ -275,7 +275,8 @@ class GeometricLimitReport:
 
     normalized[j] is the stage-j value (j = 0 is the n0-point stage); deltas
     are successive absolute differences; tail_bounds[j] bounds the total
-    increase achievable by all lifts after stage j.
+    increase achievable by all lifts after stage j; min_distances[j] is the
+    least pair distance of stage j (nan for one point).
     """
 
     limit_estimate: float
@@ -288,6 +289,7 @@ class GeometricLimitReport:
     tail_bounds: tuple
     polish: bool
     stages: tuple
+    min_distances: tuple
 
 
 def geometric_limit(fractal: Fractal, s: float, n0: int, k_max: int,
@@ -297,13 +299,12 @@ def geometric_limit(fractal: Fractal, s: float, n0: int, k_max: int,
     Minimizes at n0 points, lifts k_max times (polishing each stage unless
     polish=False), and reports the last normalized value as the estimate
     together with the analytic tail bounds.  With polish=False the stages
-    are the raw iterated lifts, whose deltas obey the tail bound in exact
-    arithmetic only.  Coordinates are rounded to one unit roundoff eps, which
-    moves a kernel term by a relative s * eps / delta_min, with delta_min
-    the least pair distance.  At large N the tail bound is smaller than that
-    rounding, so a computed delta can exceed it (a delta of 1.5e-13 against
-    a bound of 5.9e-14 has been seen at N = 8192, s = 3, on a Cantor set of
-    ratio near 1/3).
+    are the raw iterated lifts.  Their energies and separations come from
+    the previous stage by the self-similar recursion, so a raw stage
+    describes the exact images of the previous stage: its delta is the
+    normalized cross energy between those images, which obeys the tail bound
+    up to the rounding of that sum (a few units of roundoff of the
+    normalized value).  Polished stages are evaluated directly.
     """
     _require_equal_ratios(fractal, "geometric limit")
     d = fractal.dimension
@@ -314,14 +315,17 @@ def geometric_limit(fractal: Fractal, s: float, n0: int, k_max: int,
         raise DomainError("n0 must be positive")
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    stages = lift_chain(fractal, s, n0, k_max, opts=opts, polish=polish)
+    stages, separations = _lift_chain(fractal, s, n0, k_max, opts, polish)
     n_values = tuple(st.record.N for st in stages)
     energies = tuple(st.record.energy for st in stages)
     normalized = tuple(st.record.normalized for st in stages)
     deltas = tuple(abs(normalized[j + 1] - normalized[j]) for j in range(k_max))
     tails = tuple(tail_bound(fractal, s, n) for n in n_values)
+    min_distances = tuple(min_pairwise_distance(st.config) if sep is None else sep
+                          for st, sep in zip(stages, separations))
     return GeometricLimitReport(normalized[-1], s, d, n_values, energies,
-                                normalized, deltas, tails, polish, tuple(stages))
+                                normalized, deltas, tails, polish, tuple(stages),
+                                min_distances)
 
 
 # ---------------------------------------------------------------------------

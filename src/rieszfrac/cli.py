@@ -163,10 +163,8 @@ def _run_geometric_limit(fractal, params: dict, out_dir: str) -> dict:
     rows = []
     for j in range(len(report.n_values)):
         delta = math.nan if j == 0 else report.deltas[j - 1]
-        sep = min_pairwise_distance(report.stages[j].config) \
-            if report.stages[j].config.n >= 2 else math.nan
-        rows.append([j, report.n_values[j], report.energies[j],
-                     report.normalized[j], delta, report.tail_bounds[j], sep])
+        rows.append([j, report.n_values[j], report.energies[j], report.normalized[j],
+                     delta, report.tail_bounds[j], report.min_distances[j]])
     write_table(
         os.path.join(out_dir, "geometric_limit.csv"),
         ["k", "N", "energy", "normalized", "delta", "tail_bound", "min_distance"],

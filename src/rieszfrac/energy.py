@@ -145,8 +145,10 @@ class EnergyRecord:
     @classmethod
     def from_config(cls, config, s: float, d: float) -> "EnergyRecord":
         pts = _as_points(config)
-        n = pts.shape[0]
-        energy = riesz_energy(pts, s)
+        return cls.from_energy(riesz_energy(pts, s), pts.shape[0], s, d)
+
+    @classmethod
+    def from_energy(cls, energy: float, n: int, s: float, d: float) -> "EnergyRecord":
         norm = normalized_energy(energy, n, s, d) if n >= 2 else 0.0
         return cls(N=n, s=float(s), energy=energy, normalized=norm, d=float(d))
 
@@ -157,6 +159,26 @@ def cross_energy(part1, part2, s: float) -> float:
         raise DomainError(f"exponent s must be positive, got {s}")
     blocks = _row_blocks(_as_points(part1), _as_points(part2))
     return 2.0 * _kernel_sum(blocks, s, "parts share a point")
+
+
+def _lift_cross(parts, s: float):
+    """(cross energy, least squared distance) between the images of a lift.
+
+    One pass over the blocks of every pair of parts a < b gives the
+    ordered-pair interaction of distinct parts (both directions) and the
+    least squared distance between them; parts that share a point raise.
+    """
+    total = 0.0
+    least = math.inf
+    for a in range(len(parts)):
+        for b in range(a + 1, len(parts)):
+            for d2 in _row_blocks(parts[a], parts[b]):
+                least = min(least, float(d2.min()))
+                if least == 0.0:
+                    raise SingularConfigurationError("images of the lift share a point")
+                with np.errstate(over="ignore"):
+                    total += float(np.sum(np.power(d2, -0.5 * s, out=d2)))
+    return 2.0 * total, least
 
 
 def point_energy_sums(candidates, config, s: float, skip_index: int = None) -> np.ndarray:
@@ -211,11 +233,16 @@ def min_point_energy(config, candidates, s: float):
     return np.array(cands[idx]), float(values[idx])
 
 
+def _min_sq_distance(pts: np.ndarray) -> float:
+    """Least squared pair distance of an (N, p) array, inf for one point."""
+    return min(float(d2.min()) for d2 in _row_blocks(pts))
+
+
 def min_pairwise_distance(config) -> float:
     pts = _as_points(config)
     if pts.shape[0] < 2:
         raise DomainError("need at least two points")
-    return math.sqrt(min(float(d2.min()) for d2 in _row_blocks(pts)))
+    return math.sqrt(_min_sq_distance(pts))
 
 
 def covering_radius(config, mesh, slack: float = 0.0):

@@ -89,7 +89,7 @@ class CellAddress:
     word: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(m) for m in self.word))
+        object.__setattr__(self, "word", tuple(map(int, self.word)))
 
     def __len__(self):
         return len(self.word)

@@ -19,6 +19,8 @@ import numpy as np
 from .energy import (
     Configuration,
     EnergyRecord,
+    _lift_cross,
+    _min_sq_distance,
     _point_kernel,
     point_energy_sums,
     riesz_energy,
@@ -105,8 +107,10 @@ class _Mesh:
     (b-1) of level d is the point with base b whose word is the (q+1)-th
     word of depth d-1 followed by m.  The block of a word w is
     apply_word(w, level 1): the same layout with the word w in place of the
-    depth d-1 prefix.  A point's sibling candidates are its parent's block and
-    its child candidates its own.  Blocks are cached by word and hold
+    depth d-1 prefix.  It is built as the first map of w applied to the
+    (cached) block of the rest of w, the float operations of apply_word.  A
+    point's sibling candidates are its parent's block and its child
+    candidates its own.  Blocks are cached by word and hold
     coordinates only.  Restarts run in order, so one mesh serves them all.
     """
 
@@ -133,9 +137,12 @@ class _Mesh:
         return self._levels[depth]
 
     def block(self, word):
+        if not word:
+            return self.level(1)[0]
         coords = self._blocks.get(word)
         if coords is None:
-            coords = self._blocks[word] = self.fractal.apply_word(word, self.level(1)[0])
+            coords = self._blocks[word] = \
+                self.fractal.maps[word[0] - 1].apply(self.block(word[1:]))
         return coords
 
 
@@ -231,7 +238,7 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
             state.words[i], state.bases[i] = _row_label(prefix, tail_len, j, M)
             pts[i] = coords[j]
             for d, G in kernels.items():
-                G[:, i] = _point_kernel(mesh.level(d)[0], pts[i : i + 1], s)[:, 0]
+                G[:, i] = _point_kernel(pts[i : i + 1], mesh.level(d)[0], s)[0]
             accepted += 1
     return accepted
 
@@ -255,13 +262,18 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
     return state, riesz_energy(state.pts, s), total
 
 
-def _state_result(fractal, s, state: _State, strategy, certified, iterations) -> MinimizeResult:
+def _state_result(fractal, s, state: _State, strategy, certified, iterations,
+                  energy: float = None) -> MinimizeResult:
+    """The state as a result; its energy is evaluated unless already known."""
     config = Configuration(
         state.pts.copy(),
         addresses=tuple(CellAddress(w) for w in state.words),
         fractal_label=fractal.label,
     )
-    record = EnergyRecord.from_config(config, s, fractal.dimension)
+    if energy is None:
+        record = EnergyRecord.from_config(config, s, fractal.dimension)
+    else:
+        record = EnergyRecord.from_energy(energy, config.n, s, fractal.dimension)
     return MinimizeResult(config, record, strategy, certified, iterations)
 
 
@@ -391,8 +403,8 @@ def local_search_minimize(fractal: Fractal, N: int, s: float,
         return exhaustive_minimize(fractal, N, s, depth)
     if opts.strategy == "lift-seeded":
         return _lift_seeded(fractal, N, s, opts)
-    state, _, moves = _local_search_state(fractal, N, s, opts)
-    return _state_result(fractal, s, state, "local-search", False, moves)
+    state, energy, moves = _local_search_state(fractal, N, s, opts)
+    return _state_result(fractal, s, state, "local-search", False, moves, energy)
 
 
 def _lift_seeded(fractal: Fractal, N: int, s: float, opts: SearchOptions) -> MinimizeResult:
@@ -402,9 +414,9 @@ def _lift_seeded(fractal: Fractal, N: int, s: float, opts: SearchOptions) -> Min
         n0 //= M
         k += 1
     if k == 0:
-        state, _, moves = _local_search_state(fractal, N, s,
-                                              replace(opts, strategy="local-search"))
-        return _state_result(fractal, s, state, "local-search", False, moves)
+        state, energy, moves = _local_search_state(fractal, N, s,
+                                                   replace(opts, strategy="local-search"))
+        return _state_result(fractal, s, state, "local-search", False, moves, energy)
     stages = lift_chain(fractal, s, n0, k, opts=opts, polish=True)
     return stages[-1]
 
@@ -428,16 +440,34 @@ def lift(fractal: Fractal, config: Configuration, s: float = None) -> Configurat
         )
     out = Configuration(pts, addresses=addrs, fractal_label=config.fractal_label)
     if s is not None and M >= 2 and fractal.equal_ratios and fractal.sigma > 0.0:
-        n = config.n
-        lhs = riesz_energy(out, s)
-        rhs = (M ** (1.0 + s / fractal.dimension)) * riesz_energy(config, s) \
-            + (fractal.sigma ** (-s)) * n * n * M * M
-        if lhs > rhs * (1.0 + 1e-9):
-            raise AssertionError(
-                f"lift energy bound violated: {lhs!r} > {rhs!r}; "
-                "this indicates inconsistent fractal geometry data"
-            )
+        energy = riesz_energy(config, s)
+        lifted, _ = _lifted_energy(fractal, s, pts, energy)
+        _check_lift_bound(fractal, s, config.n, energy, lifted)
     return out
+
+
+def _lifted_energy(fractal: Fractal, s: float, pts: np.ndarray, energy: float):
+    """(energy, least squared cross distance) of pts, the lift of a set X.
+
+    pts stacks the images of X under maps 1..M in order; energy is E(X).  The self-similar
+    recursion E(union psi_m X) = sum_m r_m**(-s) E(X) + cross terms is exact;
+    the cross terms between distinct images take one pass of _lift_cross.
+    """
+    cross, least = _lift_cross(np.split(pts, len(fractal.maps)), s)
+    return sum(m.ratio ** (-s) for m in fractal.maps) * energy + cross, least
+
+
+def _check_lift_bound(fractal: Fractal, s: float, n: int, energy: float, lifted: float):
+    """Equal ratios: the lift of n points of energy E has at most
+    M**(1+s/d) * E + sigma**(-s) * n**2 * M**2; more means inconsistent geometry."""
+    M = len(fractal.maps)
+    bound = (M ** (1.0 + s / fractal.dimension)) * energy \
+        + (fractal.sigma ** (-s)) * n * n * M * M
+    if lifted > bound * (1.0 + 1e-9):
+        raise AssertionError(
+            f"lift energy bound violated at N={M * n}: {lifted!r} > {bound!r}; "
+            "this indicates inconsistent fractal geometry data"
+        )
 
 
 def _lift_state(fractal: Fractal, state: _State) -> _State:
@@ -454,7 +484,23 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
 
     Returns one MinimizeResult per stage, sizes n0 * M**j for j = 0..k.  With
     polish=False the stages after the first are the raw iterated lifts, which
-    is the construction behind the geometric-subsequence bound.
+    is the construction behind the geometric-subsequence bound; their
+    energies follow from the previous stage's by the self-similar recursion
+    (see _lift_chain), so they describe the exact images of that stage.
+    """
+    return _lift_chain(fractal, s, n0, k, opts, polish)[0]
+
+
+def _lift_chain(fractal: Fractal, s: float, n0: int, k: int,
+                opts: SearchOptions, polish: bool):
+    """(stages, least pair distances): lift_chain and each stage's separation.
+
+    Stage 0 and polished stages are evaluated directly.  A raw stage takes
+    energy = sum_m r_m**(-s) * E_prev + cross and squared separation
+    min(min_m r_m**2 * delta_prev**2, least cross distance**2), the cross
+    terms from one _lift_cross pass; with equal ratios the lift bound is
+    checked on that recursive energy, polished or not.  The distance is nan
+    for a one-point stage and None for a polished stage (not computed).
     """
     opts = opts if opts is not None else SearchOptions()
     M = len(fractal.maps)
@@ -466,37 +512,36 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
         raise DomainError("n0 must be at least 1")
     if k < 0:
         raise DomainError("k must be nonnegative")
-    results = []
     if n0 == 1:
         state = _State([()], [1], fractal.base_anchor()[None, :])
-        moves = 0
+        energy, moves = 0.0, 0
     else:
-        state, _, moves = _local_search_state(
+        state, energy, moves = _local_search_state(
             fractal, n0, s, replace(opts, strategy="local-search"))
-    results.append(_state_result(fractal, s, state, "lift-seeded", False, moves))
+    results = [_state_result(fractal, s, state, "lift-seeded", False, moves, energy)]
+    sep2 = _min_sq_distance(state.pts)
+    separations = [math.sqrt(sep2) if n0 >= 2 else math.nan]
     mesh = _Mesh(fractal)
-    d = fractal.dimension
+    r2 = min(fractal.ratios) ** 2
     for _ in range(k):
         prev_energy = results[-1].record.energy
         n_prev = len(state.words)
         state = _lift_state(fractal, state)
         if fractal.equal_ratios or not polish:
-            # the raw lift's record is both the unpolished stage and the
-            # energy the lift bound is checked on
-            stage = _state_result(fractal, s, state, "lift-seeded", False, 0)
+            energy, cross_sep2 = _lifted_energy(fractal, s, state.pts, prev_energy)
         if fractal.equal_ratios:
-            bound = (M ** (1.0 + s / d)) * prev_energy \
-                + (fractal.sigma ** (-s)) * n_prev * n_prev * M * M
-            if stage.record.energy > bound * (1.0 + 1e-9):
-                raise AssertionError(
-                    f"lift energy bound violated at N={len(state.words)}"
-                )
+            _check_lift_bound(fractal, s, n_prev, prev_energy, energy)
         if polish:
             max_depth = max(len(w) for w in state.words) + 8
-            state, _, moves = _run_search(fractal, s, state, opts, max_depth, mesh)
-            stage = _state_result(fractal, s, state, "lift-seeded", False, moves)
+            state, energy, moves = _run_search(fractal, s, state, opts, max_depth, mesh)
+            stage = _state_result(fractal, s, state, "lift-seeded", False, moves, energy)
+            separations.append(None)
+        else:
+            stage = _state_result(fractal, s, state, "lift-seeded", False, 0, energy)
+            sep2 = min(r2 * sep2, cross_sep2)
+            separations.append(math.sqrt(sep2))
         results.append(stage)
-    return results
+    return results, separations
 
 
 def best_packing(fractal: Fractal, N: int, depth: int,

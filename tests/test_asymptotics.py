@@ -250,6 +250,31 @@ def test_geometric_limit_raw_deltas_obey_tail(cantor13):
         assert rep.deltas[j] <= rep.tail_bounds[j] * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("ratio", ["1/3", 0.33333577141352433])
+def test_geometric_limit_raw_deltas_obey_tail_to_roundoff_at_8192_points(ratio):
+    # a raw delta is the normalized cross energy of exact images, so only the
+    # rounding of that sum stands between it and the tail bound; evaluating
+    # the rounded coordinates of the second ratio afresh puts the last delta
+    # at 1.5e-13 against a bound of 5.9e-14
+    eps = float(np.finfo(float).eps)
+    rep = rf.geometric_limit(rf.cantor(ratio), 3.0, n0=2, k_max=12, polish=False)
+    assert rep.n_values[-1] == 8192
+    for j in range(12):
+        slack = 4.0 * eps * max(rep.normalized[j], rep.normalized[j + 1])
+        assert rep.deltas[j] <= rep.tail_bounds[j] * (1.0 + 1e-9) + slack
+
+
+def test_geometric_limit_min_distances(cantor13):
+    for n0, polish in ((1, False), (2, False), (2, True)):
+        rep = rf.geometric_limit(cantor13, 3.0, n0=n0, k_max=3, polish=polish)
+        assert len(rep.min_distances) == 4
+        for st, sep in zip(rep.stages, rep.min_distances):
+            if st.config.n < 2:
+                assert math.isnan(sep)
+            else:
+                assert sep == pytest.approx(rf.min_pairwise_distance(st.config), rel=1e-12)
+
+
 def test_geometric_limit_normalized_bounded_by_seed_plus_tail(cantor13):
     rep = rf.geometric_limit(cantor13, 3.0, n0=2, k_max=6, polish=False)
     cap = rep.normalized[0] + rep.tail_bounds[0]

@@ -160,20 +160,66 @@ def test_blocked_cross_energy_and_covering_radius(rng):
     assert radius == pytest.approx(expected, rel=1e-14)
 
 
-def test_unpolished_lift_chain_evaluates_each_stage_once(monkeypatch, cantor13):
+def test_unpolished_lift_chain_uses_the_self_similar_recursion(monkeypatch, cantor13):
+    # raw stages come from the previous stage: no pair pass on any of them
     calls = []
-    energy = rf.energy.riesz_energy
+    for name in ("riesz_energy", "min_pairwise_distance"):
+        fn = getattr(rf.energy, name)
 
-    def counted(config, s):
-        calls.append(rf.energy._as_points(config).shape[0])
-        return energy(config, s)
+        def counted(config, *args, _fn=fn, _name=name):
+            calls.append((_name, rf.energy._as_points(config).shape[0]))
+            return _fn(config, *args)
 
-    monkeypatch.setattr(rf.energy, "riesz_energy", counted)
-    monkeypatch.setattr(rf.minimize, "riesz_energy", counted)
+        for module in (rf.energy, rf.minimize, rf.asymptotics):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     opts = rf.SearchOptions(seed=0, restarts=1)
     stages = rf.lift_chain(cantor13, 3.0, 2, 4, opts=opts, polish=False)
-    for st in stages[1:]:
-        assert calls.count(st.record.N) == 1
+    raw_sizes = {st.record.N for st in stages[1:]}
+    assert [n for _, n in calls if n in raw_sizes] == []
+
+
+@pytest.mark.parametrize("case", ["cantor", "dust", "two-scale"])
+def test_lift_recursion_matches_direct_evaluation(case, cantor13, mixed_fractal):
+    fractal, s, n0, k = {
+        "cantor": (cantor13, 3.0, 2, 12),
+        "dust": (rf.cantor_dust_2d("1/4"), 4.0, 4, 5),
+        "two-scale": (mixed_fractal, 3.0, 2, 8),
+    }[case]
+    opts = rf.SearchOptions(seed=0, restarts=1)
+    stages, seps = rf.minimize._lift_chain(fractal, s, n0, k, opts, False)
+    assert len(stages) == len(seps) == k + 1
+    for st, sep in zip(stages, seps):
+        direct = rf.riesz_energy(st.config, s)
+        assert abs(st.record.energy - direct) <= 1e-12 * direct
+        assert st.record.normalized == rf.normalized_energy(
+            st.record.energy, st.record.N, s, fractal.dimension)
+        assert sep == pytest.approx(rf.min_pairwise_distance(st.config), rel=1e-9)
+
+
+def test_lift_cross_sums_ordered_pairs_and_finds_least_distance(rng):
+    parts = [rng.random((B + 5, 2)) + 3.0 * m for m in range(3)]
+    s = 2.5
+    cross, least = rf.energy._lift_cross(parts, s)
+    whole = np.concatenate(parts)
+    inner = sum(rf.riesz_energy(p, s) for p in parts)
+    assert cross == pytest.approx(rf.riesz_energy(whole, s) - inner, rel=1e-12)
+    expected = min(((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2).min()
+                   for a, p in enumerate(parts) for q in parts[a + 1:])
+    assert least == expected
+
+
+def test_lift_recursion_rejects_images_that_share_a_point():
+    # x/2 and the reflection 1/2 - x/2 meet at 1/4; a declared sigma lets the
+    # chain start from {0}, and its second lift puts 1/4 in both images
+    maps = (rf.Similitude(0.5, np.array([[1.0]]), np.array([0.0])),
+            rf.Similitude(0.5, np.array([[-1.0]]), np.array([0.5])))
+    touching = rf.make_fractal(maps, label="touching", diameter=0.5, sigma=0.1)
+    with pytest.raises(rf.SingularConfigurationError):
+        rf.energy._lift_cross([np.array([[0.0], [0.5]]), np.array([[0.5], [1.0]])], 3.0)
+    assert rf.lift_chain(touching, 3.0, 1, 1, polish=False)[-1].config.n == 2
+    with pytest.raises(rf.SingularConfigurationError, match="images of the lift"):
+        rf.lift_chain(touching, 3.0, 1, 2, polish=False)
 
 
 # ---------------------------------------------------------- normalized energy
