@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .fractal import CellAddress, Fractal, anchor_cloud, cell_diameter
 from .minimize import (
     MinimizeResult,
     SearchOptions,
+    _auto_depth,
     _lift_chain,
-    exhaustive_minimize,
     local_search_minimize,
 )
 
@@ -478,6 +478,7 @@ class MonotonicityReport:
 
 def monotonicity_check(fractal: Fractal, s: float, N_range,
                        opts: SearchOptions = None) -> MonotonicityReport:
+    """Minimized energies over consecutive N, by default certified exhaustive."""
     N_values = [int(n) for n in N_range]
     if len(N_values) < 2:
         raise DomainError("need at least two values of N")
@@ -487,16 +488,13 @@ def monotonicity_check(fractal: Fractal, s: float, N_range,
     if N_values[0] < 2:
         raise DomainError("N must start at 2 or above")
     opts = opts if opts is not None else SearchOptions(strategy="exhaustive")
-    M = len(fractal.maps)
-    from .minimize import _auto_depth
-    depth = opts.depth if opts.depth is not None else _auto_depth(M, N_values[-1])
-    energies = []
-    for N in N_values:
-        if opts.strategy == "exhaustive":
-            res = exhaustive_minimize(fractal, N, s, depth)
-        else:
-            res = local_search_minimize(fractal, N, s, opts)
-        energies.append(res.record.energy)
+    if opts.strategy == "exhaustive" and opts.depth is None:
+        # one mesh for every N, the least depth holding N_max anchors;
+        # max_depth bounds only local moves, so it is dropped, not checked
+        opts = replace(opts, depth=_auto_depth(len(fractal.maps), N_values[-1]),
+                       max_depth=None)
+    energies = [local_search_minimize(fractal, N, s, opts).record.energy
+                for N in N_values]
     t = s / fractal.dimension
     violations = []
     increments = []

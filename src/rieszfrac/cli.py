@@ -5,6 +5,12 @@ columns are printed at 17 significant digits, summaries are sorted JSON, and
 no timestamps or environment details are written, so reruns are
 byte-identical.  Multi-start searches run their restarts in order in one
 thread; RIESZ_THREADS is no longer read.
+
+Every experiment subcommand goes through _dispatch: its flags' dests are
+the param names of a config document, and the runner comes from _RUNNERS as
+it does for `run`.  --budget is the subset budget under the exhaustive
+strategy and the move budget otherwise; pack's --budget is always its subset
+budget.  Which search runs is decided by minimize.local_search_minimize alone.
 """
 
 from __future__ import annotations
@@ -38,10 +44,10 @@ from .errors import (
 from .fractal import load_fractal, moran_dimension, parse_number
 from .minimize import (
     DEFAULT_SUBSET_BUDGET,
+    _STRATEGIES,
     SearchOptions,
     _auto_depth,
     best_packing,
-    exhaustive_minimize,
     local_search_minimize,
 )
 from .serialize import configuration_to_csv, fmt_float, read_table, write_table
@@ -80,14 +86,22 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
 
-def _search_options(params: dict) -> SearchOptions:
+# the strategy of each experiment that takes one, when neither its flags nor
+# its config name one (geometric-limit always runs local search)
+_DEFAULT_STRATEGY = {"minimize": "local-search", "g-curve": "lift-seeded",
+                     "weakstar": "lift-seeded", "monotonicity": "exhaustive"}
+
+
+def _search_options(params: dict, experiment: str = None) -> SearchOptions:
     return SearchOptions(
         depth=params.get("depth"),
         max_depth=params.get("max_depth"),
         restarts=params.get("restarts", 3),
         moves_budget=params.get("moves_budget", 10_000),
         seed=params.get("seed", 0),
-        strategy=params.get("strategy", "local-search"),
+        strategy=params.get("strategy",
+                            _DEFAULT_STRATEGY.get(experiment, "local-search")),
+        subset_budget=params.get("subset_budget", DEFAULT_SUBSET_BUDGET),
     )
 
 
@@ -103,13 +117,9 @@ def _run_minimize(fractal, params: dict, out_dir: str) -> dict:
     if n is None:
         raise UsageError("minimize needs n")
     s = params["s"]
-    opts = _search_options(params)
+    opts = _search_options(params, "minimize")
     depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), n)
-    if opts.strategy == "exhaustive":
-        budget = params.get("subset_budget", DEFAULT_SUBSET_BUDGET)
-        result = exhaustive_minimize(fractal, n, s, depth, budget=budget)
-    else:
-        result = local_search_minimize(fractal, n, s, opts)
+    result = local_search_minimize(fractal, n, s, opts)
     delta = min_pairwise_distance(result.config)
     write_table(
         os.path.join(out_dir, "minimize_results.csv"),
@@ -137,9 +147,8 @@ def _run_packing(fractal, params: dict, out_dir: str) -> dict:
     depth = params.get("depth")
     if depth is None:
         depth = _auto_depth(len(fractal.maps), n)
-    opts = _search_options(params)
-    budget = params.get("subset_budget", DEFAULT_SUBSET_BUDGET)
-    result = best_packing(fractal, n, depth, opts, budget=budget)
+    result = best_packing(fractal, n, depth,
+                          params.get("subset_budget", DEFAULT_SUBSET_BUDGET))
     write_table(
         os.path.join(out_dir, "packing_results.csv"),
         ["N", "depth", "delta", "certified", "strategy"],
@@ -187,7 +196,7 @@ def _run_g_curve(fractal, params: dict, out_dir: str) -> dict:
     n_max = params.get("n_max")
     if n_min is None or n_max is None:
         raise UsageError("g-curve needs n_min and n_max")
-    opts = _search_options({**params, "strategy": params.get("strategy", "lift-seeded")})
+    opts = _search_options(params, "g-curve")
     points = g_curve(fractal, s, bins, n_min, n_max, opts)
     rows = []
     sample_rows = []
@@ -249,7 +258,7 @@ def _run_weakstar(fractal, params: dict, out_dir: str) -> dict:
         raise UsageError("weakstar needs n")
     s = params["s"]
     depth = params.get("measure_depth", 2)
-    opts = _search_options({**params, "strategy": params.get("strategy", "lift-seeded")})
+    opts = _search_options(params, "weakstar")
     result = local_search_minimize(fractal, n, s, opts)
     report = empirical_cell_measure(fractal, result.config, depth)
     rows = []
@@ -276,7 +285,7 @@ def _run_monotonicity(fractal, params: dict, out_dir: str) -> dict:
     n_max = params.get("n_max")
     if n_max is None:
         raise UsageError("monotonicity needs n_max")
-    opts = _search_options({**params, "strategy": params.get("strategy", "exhaustive")})
+    opts = _search_options(params, "monotonicity")
     report = monotonicity_check(fractal, s, range(n_min, n_max + 1), opts)
     rows = []
     for j, N in enumerate(report.N_values):
@@ -379,40 +388,27 @@ def emit_plot_data(out_dir: str, kind: str = None) -> list:
 # argument parsing
 
 
-def _add_common(p):
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-
-
-def _add_fractal(p):
+def _experiment(sub, name: str, help_text: str, experiment: str = None):
+    """An experiment subcommand: its flags' dests are the runner's params."""
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--fractal", required=True,
                    help="catalog name like 'cantor(1/3)' or a fractal JSON path")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    p.set_defaults(func=_dispatch, experiment=experiment or name)
+    return p
 
 
-def _add_search(p):
+def _add_search(p, strategy: bool = True):
+    """Search flags; strategy=False leaves out --strategy (local search only)."""
     p.add_argument("--depth", type=int, default=None, help="initial cell depth")
     p.add_argument("--max-depth", type=int, default=None, help="refinement cap")
     p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--budget", type=int, default=None,
-                   help="move budget (local search) or subset budget (exhaustive)")
-    p.add_argument("--strategy", default=None,
-                   choices=["exhaustive", "local-search", "lift-seeded"])
-
-
-def _collect_search_params(args, default_strategy="local-search") -> dict:
-    params = {"seed": args.seed, "restarts": args.restarts}
-    if args.depth is not None:
-        params["depth"] = args.depth
-    if args.max_depth is not None:
-        params["max_depth"] = args.max_depth
-    strategy = args.strategy if args.strategy is not None else default_strategy
-    params["strategy"] = strategy
-    if args.budget is not None:
-        if strategy == "exhaustive":
-            params["subset_budget"] = args.budget
-        else:
-            params["moves_budget"] = args.budget
-    return params
+                   help="subset budget (exhaustive) or move budget (otherwise)")
+    if strategy:
+        p.add_argument("--strategy", choices=_STRATEGIES)
+        p.set_defaults(strategy=_DEFAULT_STRATEGY[p.get_default("experiment")])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,65 +423,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractal", help="catalog name or fractal JSON path")
     p.set_defaults(func=_cmd_dimension)
 
-    p = sub.add_parser("minimize", help="minimize the Riesz s-energy of N points")
-    _add_fractal(p)
+    p = _experiment(sub, "minimize", "minimize the Riesz s-energy of N points")
     p.add_argument("--s", required=True, type=parse_number)
     p.add_argument("--n", required=True, type=int)
     _add_search(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_minimize)
 
-    p = sub.add_parser("pack", help="best-packing (maximin) search")
-    _add_fractal(p)
+    p = _experiment(sub, "pack", "best-packing (maximin) search", "packing")
     p.add_argument("--n", required=True, type=int)
-    _add_search(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_pack)
+    p.add_argument("--depth", type=int, default=None, help="mesh depth")
+    p.add_argument("--budget", dest="subset_budget", type=int, default=None,
+                   help="subset budget for the certified enumeration; "
+                        "greedy exchange beyond it")
 
-    p = sub.add_parser("geometric-limit", help="normalized energies along N = n0*M^k")
-    _add_fractal(p)
+    p = _experiment(sub, "geometric-limit", "normalized energies along N = n0*M^k")
     p.add_argument("--s", required=True, type=parse_number)
     p.add_argument("--n0", type=int, default=2)
     p.add_argument("--k-max", type=int, default=6)
-    p.add_argument("--no-polish", action="store_true",
+    p.add_argument("--no-polish", dest="polish", action="store_false",
                    help="report raw iterated lifts without per-stage search")
-    _add_search(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_geometric_limit)
+    _add_search(p, strategy=False)
 
-    p = sub.add_parser("g-curve", help="normalized energy vs fractional log_M N")
-    _add_fractal(p)
+    p = _experiment(sub, "g-curve", "normalized energy vs fractional log_M N")
     p.add_argument("--s", required=True, type=parse_number)
     p.add_argument("--bins", type=int, default=16)
     p.add_argument("--n-min", required=True, type=int)
     p.add_argument("--n-max", required=True, type=int)
     _add_search(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_g_curve)
 
-    p = sub.add_parser("gap", help="closed-form liminf/limsup gap certificate")
-    _add_fractal(p)
+    p = _experiment(sub, "gap", "closed-form liminf/limsup gap certificate")
     p.add_argument("--s", required=True, type=parse_number)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gap)
 
-    p = sub.add_parser("weakstar", help="cell counts of a minimizer vs the self-similar measure")
-    _add_fractal(p)
+    p = _experiment(sub, "weakstar",
+                    "cell counts of a minimizer vs the self-similar measure")
     p.add_argument("--s", required=True, type=parse_number)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--measure-depth", type=int, default=2)
     _add_search(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_weakstar)
 
-    p = sub.add_parser("monotonicity", help="minimized energies over consecutive N")
-    _add_fractal(p)
+    p = _experiment(sub, "monotonicity", "minimized energies over consecutive N")
     p.add_argument("--s", required=True, type=parse_number)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", required=True, type=int)
     _add_search(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_monotonicity)
 
     p = sub.add_parser("run", help="run an experiment from a JSON config")
     p.add_argument("--config", required=True, help="experiment JSON path")
@@ -512,54 +491,27 @@ def _cmd_dimension(args) -> int:
     return 0
 
 
-def _dispatch(args, kind: str, extra: dict, default_strategy="local-search") -> int:
-    params = _collect_search_params(args, default_strategy)
-    params.update(extra)
+# namespace entries that steer _dispatch rather than the experiment
+_NOT_PARAMS = ("command", "func", "experiment", "fractal", "out", "budget")
+
+
+def _dispatch(args) -> int:
+    """Run one experiment subcommand; every set flag is a runner param.
+
+    --budget is the subset budget under the exhaustive strategy and the
+    move budget otherwise (pack's --budget is always its subset budget).
+    """
+    params = {k: v for k, v in vars(args).items()
+              if k not in _NOT_PARAMS and v is not None}
+    budget = getattr(args, "budget", None)
+    if budget is not None:
+        key = "subset_budget" if params.get("strategy") == "exhaustive" else "moves_budget"
+        params[key] = budget
     fractal = load_fractal(args.fractal)
     os.makedirs(args.out, exist_ok=True)
-    summary = _RUNNERS[kind](fractal, params, args.out)
+    summary = _RUNNERS[args.experiment](fractal, params, args.out)
     print(json.dumps(summary, sort_keys=True))
     return 0
-
-
-def _cmd_minimize(args) -> int:
-    return _dispatch(args, "minimize", {"n": args.n, "s": args.s})
-
-
-def _cmd_pack(args) -> int:
-    return _dispatch(args, "packing", {"n": args.n})
-
-
-def _cmd_geometric_limit(args) -> int:
-    return _dispatch(args, "geometric-limit",
-                     {"s": args.s, "n0": args.n0, "k_max": args.k_max,
-                      "polish": not args.no_polish})
-
-
-def _cmd_g_curve(args) -> int:
-    return _dispatch(args, "g-curve",
-                     {"s": args.s, "bins": args.bins, "n_min": args.n_min,
-                      "n_max": args.n_max}, default_strategy="lift-seeded")
-
-
-def _cmd_gap(args) -> int:
-    fractal = load_fractal(args.fractal)
-    os.makedirs(args.out, exist_ok=True)
-    summary = _run_gap(fractal, {"s": args.s}, args.out)
-    print(json.dumps(summary, sort_keys=True))
-    return 0
-
-
-def _cmd_weakstar(args) -> int:
-    return _dispatch(args, "weakstar",
-                     {"s": args.s, "n": args.n, "measure_depth": args.measure_depth},
-                     default_strategy="lift-seeded")
-
-
-def _cmd_monotonicity(args) -> int:
-    return _dispatch(args, "monotonicity",
-                     {"s": args.s, "n_min": args.n_min, "n_max": args.n_max},
-                     default_strategy="exhaustive")
 
 
 def _cmd_run(args) -> int:

@@ -4,8 +4,10 @@ Candidate points are symbolic: a point is psi_w(f_b), the image of the fixed
 point of map b under the cell word w.  At any depth this mesh contains every
 cell corner (e.g. both endpoints of each Cantor cell), so optima such as
 {0, 1} are exactly representable.  exhaustive_minimize enumerates subsets of
-the plain base anchors psi_w(b1) by default, matching the certified-oracle
-contract; pass mesh="endpoint" to certify over the full symbolic mesh.
+the plain base anchors psi_w(b1) (the base-1 rows of the mesh) by default,
+matching the certified-oracle contract; pass mesh="endpoint" to certify over
+the full symbolic mesh.  local_search_minimize is the one entry that reads
+SearchOptions.strategy.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     ResourceBudgetError,
     SingularConfigurationError,
 )
-from .fractal import CellAddress, Fractal, _sq_dists, anchor_cloud
+from .fractal import CellAddress, Fractal, _sq_dists
 from .parallel import spawned_rngs
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
@@ -52,6 +54,7 @@ class SearchOptions:
     moves_budget: int = 10_000
     seed: int = 0
     strategy: str = "local-search"
+    subset_budget: int = DEFAULT_SUBSET_BUDGET
 
     def __post_init__(self):
         if self.depth is not None and self.depth < 1:
@@ -65,6 +68,8 @@ class SearchOptions:
             raise DomainError("restarts must be at least 1")
         if self.moves_budget < 1:
             raise DomainError("moves_budget must be positive")
+        if self.subset_budget < 1:
+            raise DomainError("subset_budget must be positive")
         if self.strategy not in _STRATEGIES:
             raise DomainError(f"strategy must be one of {_STRATEGIES}")
 
@@ -277,35 +282,53 @@ def _state_result(fractal, s, state: _State, strategy, certified, iterations,
     return MinimizeResult(config, record, strategy, certified, iterations)
 
 
-def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
-                        refine_depth: int = 0, mesh: str = "anchor",
-                        budget: int = DEFAULT_SUBSET_BUDGET) -> MinimizeResult:
-    """Certified minimum over all N-subsets of the depth-l candidate mesh.
+def _first_best(K: int, N: int, score):
+    """(least score, subset) over the N-subsets of range(K).
 
-    Subsets are visited in lexicographic order and the first minimum is kept.
-    The optional refinement then descends each chosen point inside its own
-    cell (child anchors, refine_depth extra levels), which can only lower the
-    energy, so the certificate against same-depth anchor configurations holds.
+    Subsets are visited in lexicographic order and only a strictly lower
+    score replaces the incumbent, so the first minimum is kept.  The subset
+    is None when no score is below +inf.
+    """
+    best_score = math.inf
+    best = None
+    for subset in itertools.combinations(range(K), N):
+        value = score(subset)
+        if value < best_score:
+            best_score = value
+            best = subset
+    return best_score, best
+
+
+def _subset_mesh(fractal: Fractal, N: int, depth: int, base_only: bool):
+    """(coords, words, bases) of the depth-l mesh, checked to hold N points.
+
+    base_only keeps the base-1 rows, the cell anchors psi_w(b1).
     """
     if N < 2:
         raise DomainError("need at least two points")
     if depth < 1:
         raise DomainError("depth must be at least 1")
-    if refine_depth < 0:
-        raise DomainError("refine_depth must be nonnegative")
-    M = len(fractal.maps)
-    if mesh == "anchor":
-        coords = anchor_cloud(fractal, depth)
-        words = list(itertools.product(range(1, M + 1), repeat=depth))
-        bases = [1] * len(words)
-    elif mesh == "endpoint":
-        coords, words, bases = _Mesh(fractal).level(depth)
-    else:
-        raise DomainError("mesh must be 'anchor' or 'endpoint'")
+    coords, words, bases = _Mesh(fractal).level(depth)
+    if base_only:
+        M = len(fractal.maps)
+        coords, words, bases = coords[::M], words[::M], bases[::M]
     K = coords.shape[0]
     if K < N:
         raise DomainError(f"only {K} candidates at depth {depth} for N={N}")
-    count = math.comb(K, N)
+    return coords, words, bases
+
+
+def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
+                        mesh: str = "anchor",
+                        budget: int = DEFAULT_SUBSET_BUDGET) -> MinimizeResult:
+    """Certified minimum over all N-subsets of the depth-l candidate mesh.
+
+    Subsets are visited in lexicographic order and the first minimum is kept.
+    """
+    if mesh not in ("anchor", "endpoint"):
+        raise DomainError("mesh must be 'anchor' or 'endpoint'")
+    coords, words, bases = _subset_mesh(fractal, N, depth, mesh == "anchor")
+    count = math.comb(coords.shape[0], N)
     if count > budget:
         raise ResourceBudgetError(
             f"{count} subsets exceed the enumeration budget {budget}"
@@ -314,41 +337,13 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
     np.fill_diagonal(d2, np.inf)
     with np.errstate(divide="ignore", over="ignore"):
         kernel = d2 ** (-0.5 * s)
-    best_e = math.inf
-    best = None
-    for subset in itertools.combinations(range(K), N):
-        e = float(kernel[np.ix_(subset, subset)].sum())
-        if e < best_e:
-            best_e = e
-            best = subset
-    if best is None or math.isinf(best_e):
+    best_e, best = _first_best(
+        coords.shape[0], N, lambda sub: float(kernel[np.ix_(sub, sub)].sum()))
+    if best is None:
         raise SingularConfigurationError("every candidate subset contains coincident points")
-    state = _State([tuple(words[i]) for i in best], [bases[i] for i in best],
+    state = _State([words[i] for i in best], [bases[i] for i in best],
                    coords[list(best)])
-    if refine_depth > 0:
-        _refine_in_cells(fractal, s, state, depth + refine_depth)
     return _state_result(fractal, s, state, "exhaustive", True, count)
-
-
-def _refine_in_cells(fractal, s, state: _State, max_depth: int):
-    """Greedy descent of each point through child anchors, within its cell."""
-    first_level = np.stack([m.apply(fractal.base_anchor()) for m in fractal.maps])
-    for _ in range(_MAX_SWEEPS):
-        improved = False
-        for i in range(len(state.words)):
-            w = state.words[i]
-            if len(w) >= max_depth:
-                continue
-            coords = fractal.apply_word(w, first_level)
-            current = point_energy_sums(state.pts[i][None, :], state.pts, s, skip_index=i)[0]
-            values = point_energy_sums(coords, state.pts, s, skip_index=i)
-            j = int(np.argmin(values))
-            if values[j] < current - 1e-13 * (1.0 + abs(current)):
-                state.words[i] = w + (j + 1,)
-                state.pts[i] = coords[j]
-                improved = True
-        if not improved:
-            break
 
 
 def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions):
@@ -390,17 +385,22 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
 
 def local_search_minimize(fractal: Fractal, N: int, s: float,
                           opts: SearchOptions = None) -> MinimizeResult:
-    """Seeded multi-restart descent over symbolic cell moves.
+    """Minimize by the strategy opts names; the one place that reads it.
 
-    Moves relocate one point at a time: across the whole level while it is
-    small, to same-parent sibling cells otherwise, and down to child cells up
-    to max_depth.  Energy never increases along accepted moves and the whole
-    run is a pure function of the options (seed included).
+    "local-search" (the default) is a seeded multi-restart descent over
+    symbolic cell moves.  Moves relocate one point at a time: across the
+    whole level while it is small, to same-parent sibling cells otherwise,
+    and down to child cells up to max_depth.  Energy never increases along
+    accepted moves and the whole run is a pure function of the options (seed
+    included).  "exhaustive" is exhaustive_minimize over the depth-l anchors
+    (opts.depth, else the least depth with M**l >= N) within
+    opts.subset_budget subsets; "lift-seeded" polishes a lift chain when N
+    is n0 * M**k with k >= 1 and runs the local search otherwise.
     """
     opts = opts if opts is not None else SearchOptions()
     if opts.strategy == "exhaustive":
         depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), N)
-        return exhaustive_minimize(fractal, N, s, depth)
+        return exhaustive_minimize(fractal, N, s, depth, budget=opts.subset_budget)
     if opts.strategy == "lift-seeded":
         return _lift_seeded(fractal, N, s, opts)
     state, energy, moves = _local_search_state(fractal, N, s, opts)
@@ -545,31 +545,21 @@ def _lift_chain(fractal: Fractal, s: float, n0: int, k: int,
 
 
 def best_packing(fractal: Fractal, N: int, depth: int,
-                 opts: SearchOptions = None,
                  budget: int = DEFAULT_SUBSET_BUDGET) -> PackingResult:
     """Maximize the least pairwise distance over the depth-l symbolic mesh.
 
     Exhaustive (certified) while the subset count fits the budget, otherwise
     a farthest-point greedy start with single-point exchange sweeps.
     """
-    if N < 2:
-        raise DomainError("need at least two points")
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
-    coords, words, bases = _Mesh(fractal).level(depth)
+    if budget < 1:
+        raise DomainError("budget must be positive")
+    coords, words, _ = _subset_mesh(fractal, N, depth, base_only=False)
     K = coords.shape[0]
-    if K < N:
-        raise DomainError(f"only {K} candidates at depth {depth} for N={N}")
     dist = np.sqrt(_sq_dists(coords, coords))
     np.fill_diagonal(dist, np.inf)
     if math.comb(K, N) <= budget:
-        best_delta = -math.inf
-        best = None
-        for subset in itertools.combinations(range(K), N):
-            delta = float(dist[np.ix_(subset, subset)].min())
-            if delta > best_delta:
-                best_delta = delta
-                best = subset
+        least, best = _first_best(K, N, lambda sub: -float(dist[np.ix_(sub, sub)].min()))
+        best_delta = -least
         chosen = list(best)
         certified = True
         strategy = "exhaustive"

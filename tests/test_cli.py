@@ -100,6 +100,28 @@ def test_pack_artifacts(tmp_path, capsys):
     assert os.path.exists(os.path.join(str(tmp_path), "packing_points.csv"))
 
 
+def test_pack_budget_is_the_subset_budget(tmp_path, capsys):
+    # C(32, 3) = 4960 endpoint subsets exceed 10: greedy exchange instead
+    code = rf.main(["pack", "--fractal", "cantor(1/3)", "--n", "3",
+                    "--depth", "4", "--budget", "10", "--out", str(tmp_path)])
+    assert code == 0
+    summary = _last_json(capsys)
+    assert summary["strategy"] == "greedy-exchange"
+    assert summary["certified"] is False
+    assert rf.main(["pack", "--fractal", "cantor(1/3)", "--n", "3",
+                    "--budget", "0", "--out", str(tmp_path)]) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["pack", "--n", "3", "--restarts", "1"],
+    ["pack", "--n", "3", "--strategy", "exhaustive"],
+    ["pack", "--n", "3", "--max-depth", "5"],
+    ["geometric-limit", "--s", "3", "--strategy", "exhaustive"],
+])
+def test_unread_flags_are_rejected(argv, tmp_path, capsys):
+    assert rf.main(argv + ["--fractal", "cantor(1/3)", "--out", str(tmp_path)]) == 2
+
+
 # ------------------------------------------------------------------------ gap
 
 def test_gap_command(tmp_path, capsys):
@@ -204,6 +226,23 @@ def test_run_rejects_unknown_experiment(tmp_path, capsys):
     assert _last_json(capsys)["error"]["type"] == "UsageError"
 
 
+def test_strategy_and_experiment_names_agree():
+    from rieszfrac.cli import _RUNNERS, _load_schema, build_parser
+    from rieszfrac.minimize import _STRATEGIES
+
+    props = _load_schema()["properties"]
+    assert tuple(props["strategy"]["enum"]) == _STRATEGIES
+    assert props["experiment"]["enum"] == list(_RUNNERS)
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    experiments = set()
+    for name, p in subparsers.choices.items():
+        for action in p._actions:
+            if action.dest == "strategy":
+                assert tuple(action.choices) == _STRATEGIES, name
+        experiments.add(p.get_default("experiment"))
+    assert experiments - {None} == set(_RUNNERS)
+
+
 def test_run_rejects_extra_keys():
     with pytest.raises(rf.UsageError):
         rf.ExperimentConfig.from_dict(
@@ -238,11 +277,19 @@ def test_exit_code_hypothesis_violation(tmp_path, capsys):
 
 
 def test_exit_code_budget(tmp_path, capsys):
-    code = rf.main(["minimize", "--fractal", "cantor(1/3)", "--s", "2",
-                    "--n", "3", "--depth", "4", "--strategy", "exhaustive",
-                    "--budget", "2", "--out", str(tmp_path)])
-    assert code == 4
-    assert _last_json(capsys)["error"]["type"] == "ResourceBudgetError"
+    for argv in (
+        ["minimize", "--s", "2", "--n", "3", "--depth", "4",
+         "--strategy", "exhaustive", "--budget", "2"],
+        # exhaustive by default: C(8, 2) = 28 anchor subsets already at N = 2
+        ["monotonicity", "--s", "3", "--n-max", "5", "--budget", "10"],
+        ["weakstar", "--s", "3", "--strategy", "exhaustive", "--n", "4",
+         "--depth", "4", "--budget", "10"],
+        ["g-curve", "--s", "3", "--strategy", "exhaustive", "--n-min", "2",
+         "--n-max", "8", "--bins", "4", "--budget", "10"],
+    ):
+        code = rf.main(argv + ["--fractal", "cantor(1/3)", "--out", str(tmp_path)])
+        assert code == 4, argv
+        assert _last_json(capsys)["error"]["type"] == "ResourceBudgetError"
 
 
 def test_exit_code_domain(tmp_path, capsys):

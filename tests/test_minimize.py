@@ -8,6 +8,7 @@ restarts, and never losing to the certified anchor-mesh optimum.
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,13 +60,6 @@ def test_exhaustive_n2_endpoint_any_depth(cantor13):
         assert sorted(res.config.points[:, 0]) == pytest.approx([0.0, 1.0])
 
 
-def test_exhaustive_refinement_only_improves(cantor13):
-    plain = rf.exhaustive_minimize(cantor13, 3, 3.0, depth=2)
-    refined = rf.exhaustive_minimize(cantor13, 3, 3.0, depth=2, refine_depth=3)
-    assert refined.record.energy <= plain.record.energy * (1.0 + 1e-12)
-    assert refined.config.validate_cells(cantor13)
-
-
 def test_exhaustive_result_addresses_valid(cantor13):
     res = rf.exhaustive_minimize(cantor13, 3, 2.0, depth=3)
     assert res.config.addresses is not None
@@ -78,8 +72,6 @@ def test_exhaustive_validation(cantor13):
     with pytest.raises(rf.DomainError):
         rf.exhaustive_minimize(cantor13, 2, 2.0, depth=0)
     with pytest.raises(rf.DomainError):
-        rf.exhaustive_minimize(cantor13, 2, 2.0, depth=2, refine_depth=-1)
-    with pytest.raises(rf.DomainError):
         rf.exhaustive_minimize(cantor13, 2, 2.0, depth=2, mesh="corner")
     with pytest.raises(rf.DomainError):
         # only 2 anchors at depth 1
@@ -89,6 +81,49 @@ def test_exhaustive_validation(cantor13):
 def test_exhaustive_budget_enforced(cantor13):
     with pytest.raises(rf.ResourceBudgetError):
         rf.exhaustive_minimize(cantor13, 3, 2.0, depth=4, budget=5)
+
+
+def test_dispatch_passes_subset_budget(cantor13):
+    # C(16, 3) = 560 anchor subsets at depth 4
+    opts = rf.SearchOptions(depth=4, strategy="exhaustive", subset_budget=559)
+    with pytest.raises(rf.ResourceBudgetError):
+        rf.local_search_minimize(cantor13, 3, 2.0, opts)
+    res = rf.local_search_minimize(cantor13, 3, 2.0, replace(opts, subset_budget=560))
+    assert res.certified and res.iterations == 560
+    with pytest.raises(rf.DomainError):
+        rf.SearchOptions(subset_budget=0)
+
+
+def _rotating_ifs():
+    # three maps of the unit square, two of them rotated (by 90 and 30 degrees)
+    c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    maps = (
+        rf.Similitude(0.3, np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([0.3, 0.0])),
+        rf.Similitude(0.3, np.eye(2), np.array([0.7, 0.0])),
+        rf.Similitude(0.3, np.array([[c, -s], [s, c]]), np.array([0.2, 0.6])),
+    )
+    return rf.make_fractal(maps, label="rotating")
+
+
+@pytest.mark.parametrize("name", ["cantor", "dust", "two-scale", "rotating"])
+def test_mesh_base_rows_are_the_anchor_cloud(name, cantor13, mixed_fractal):
+    from rieszfrac.minimize import _Mesh
+
+    fractal = {"cantor": cantor13, "dust": rf.cantor_dust_2d(0.25),
+               "two-scale": mixed_fractal, "rotating": _rotating_ifs()}[name]
+    M = len(fractal.maps)
+    mesh = _Mesh(fractal)
+    for depth in range(1, 7):
+        coords, words, bases = mesh.level(depth)
+        anchors = rf.anchor_cloud(fractal, depth)
+        assert coords[::M].tobytes() == anchors.tobytes()
+        assert words[::M] == list(itertools.product(range(1, M + 1), repeat=depth))
+        assert bases[::M] == [1] * M ** depth
+    res = rf.exhaustive_minimize(fractal, 3, 2.0, depth=2)
+    anchors = rf.anchor_cloud(fractal, 2)
+    for point, address in zip(res.config.points, res.config.addresses):
+        row = sum((m - 1) * M ** (1 - j) for j, m in enumerate(address.word))
+        assert point.tobytes() == anchors[row].tobytes()
 
 
 # -------------------------------------------------------------- local search
