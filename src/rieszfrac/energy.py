@@ -215,6 +215,38 @@ def _point_kernel(candidates: np.ndarray, config: np.ndarray, s: float) -> np.nd
     return out
 
 
+def _point_rows(pts: np.ndarray, i0: int, i1: int, s: float):
+    """(squared distances, kernel rows, row sums) of points i0..i1-1 against pts.
+
+    Entry (r, i0 + r) of the kernel is set to 0.0, so row r and its sum are
+    the floats point_energy_sums(pts[i], pts, s, skip_index=i) forms and
+    returns for i = i0 + r.
+    """
+    d2 = _sq_dists(pts[i0:i1], pts)
+    with np.errstate(divide="ignore", over="ignore"):
+        k = np.power(d2, -0.5 * s)
+    r = np.arange(i1 - i0)
+    k[r, r + i0] = 0.0
+    return d2, k, k.sum(axis=1)
+
+
+def _finite_row_sums(G: np.ndarray):
+    """(sums of the finite entries, counts of the infinite ones) per row of G.
+
+    G holds kernel values (nonnegative or +inf); it is read PAIR_BLOCK rows
+    at a time, so no temporary is larger than PAIR_BLOCK rows.
+    """
+    sums = np.empty(G.shape[0])
+    counts = np.empty(G.shape[0], dtype=np.int64)
+    for r0 in range(0, G.shape[0], PAIR_BLOCK):
+        block = G[r0 : r0 + PAIR_BLOCK]
+        inf = np.isinf(block)
+        inf.sum(axis=1, out=counts[r0 : r0 + block.shape[0]])
+        with np.errstate(over="ignore"):
+            np.where(inf, 0.0, block).sum(axis=1, out=sums[r0 : r0 + block.shape[0]])
+    return sums, counts
+
+
 def min_point_energy(config, candidates, s: float):
     """(best point, value): the candidate with least kernel sum to the config.
 

@@ -8,6 +8,16 @@ the plain base anchors psi_w(b1) (the base-1 rows of the mesh) by default,
 matching the certified-oracle contract; pass mesh="endpoint" to certify over
 the full symbolic mesh.  local_search_minimize is the one entry that reads
 SearchOptions.strategy.
+
+The local search scores single-point moves sweep by sweep (_sweep).  For
+s > dim A a point's potential is dominated by its nearest neighbours, so
+most candidates of a sweep that moves nothing can be ruled out without
+their exact sums: level rows by interval estimates of their row sums,
+sibling and child cells by a near-field lower bound with the far field
+scaled from the point's own potential.  Both bounds are rigorous in float
+arithmetic (their docstrings derive the margins), and a candidate is
+skipped only when it can be neither the first minimum nor accepted, so the
+screens change no bit of any result.
 """
 
 from __future__ import annotations
@@ -21,9 +31,11 @@ import numpy as np
 from .energy import (
     Configuration,
     EnergyRecord,
+    _finite_row_sums,
     _lift_cross,
     _min_sq_distance,
     _point_kernel,
+    _point_rows,
     point_energy_sums,
     riesz_energy,
 )
@@ -41,6 +53,22 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # deeper points fall back to same-parent sibling and child moves only
 LEVEL_MOVE_CAP = 256
 _MAX_SWEEPS = 200
+# The screens in _sweep run only where the work they can skip outweighs
+# their own cost.  A cell screen, batched, costs a point about as much as
+# this many kernel terms (candidate rows times N); a level screen, about 20
+# numpy calls per point, as much as this many row-sum additions (K times N).
+_CELL_SCREEN_MIN = 1 << 10
+_LEVEL_SCREEN_MIN = 1 << 16
+_U = 2.0 ** -53  # unit roundoff of float64
+# squared distances the cell screen's far-field bound rests on must lie in
+# [_TINY, _HUGE], where the relative rounding model of floats holds
+_TINY, _HUGE = 2.0 ** -970, 2.0 ** 990
+# kernel entries per screening batch (its points' own rows against all
+# points).  A move ends a batch early, so after a move the next batch waits
+# until _MIN_BATCH points passed without one and then holds twice as many
+# points as have, up to the cap.
+_BATCH_TERMS = 1 << 14
+_MIN_BATCH = 2
 _STRATEGIES = ("exhaustive", "local-search", "lift-seeded")
 
 
@@ -185,13 +213,199 @@ def _farthest_point_indices(coords: np.ndarray, N: int):
     return chosen
 
 
-def _level_values(G: np.ndarray, i: int) -> np.ndarray:
-    """Row sums of G without column i: it is set to 0.0, summed and restored."""
+def _level_values(G: np.ndarray, i: int, rows: np.ndarray = None) -> np.ndarray:
+    """Row sums of G (of its `rows` if given) without column i.
+
+    Column i is set to 0.0 and summed: in G itself and then restored, or in
+    the copied rows.
+    """
+    if rows is not None:
+        block = G[rows]
+        block[:, i] = 0.0
+        return block.sum(axis=1)
     saved = G[:, i].copy()
     G[:, i] = 0.0
     values = G.sum(axis=1)
     G[:, i] = saved
     return values
+
+
+def _level_stats(G: np.ndarray) -> list:
+    """[R, C, E] of a level kernel: its finite row sums, its inf counts per
+    row and a bound E >= |R - the real sum of the finite entries|.
+
+    R is a float sum of N nonnegative terms, within gamma_(N-1) R / (1 -
+    gamma_(N-1)) of the real sum; E = (N + 1) u R exceeds that with room for
+    its own rounding.
+    """
+    R, C = _finite_row_sums(G)
+    return [R, C, (G.shape[1] + 1) * _U * R]
+
+
+def _update_level_stats(stats: list, old: np.ndarray, new: np.ndarray):
+    """Column i of the kernel changes from old to new; R, C and E follow in O(K).
+
+    With a and b the finite parts of old and new, R becomes fl(fl(R - a) + b),
+    whose error grows by at most u(|R| + a) + u(|R| + a + b)(1 + u); the
+    update adds 4u(|R| + a + b + E), which also covers its own rounding.
+    """
+    R, C, E = stats
+    old_inf, new_inf = np.isinf(old), np.isinf(new)
+    a = np.where(old_inf, 0.0, old)
+    b = np.where(new_inf, 0.0, new)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E += 4.0 * _U * (np.abs(R) + a + b + E)
+        R -= a
+        R += b
+    C += new_inf
+    C -= old_inf
+
+
+def _screened_level_values(G: np.ndarray, stats: list, i: int, threshold: float):
+    """_level_values(G, i) on the rows that can still win, +inf on the others.
+
+    Row j's value v_j is the float sum of its entries with column i zeroed.
+    If the row holds an inf outside column i, v_j is exactly inf.  Otherwise
+    its estimate e_j = R_j - G[j, i] (R_j alone when G[j, i] is inf) obeys
+    |v_j - e_j| <= E_j + u|e_j| + gamma_N (|e_j| + E_j), gamma_N = Nu/(1-Nu)
+    the error of a float sum of N nonnegative terms in any order, so v_j
+    lies in [e_j - m_j, e_j + m_j] with m_j = 2 E_j + (N + 4) u |e_j|; the
+    spare E_j and 3u|e_j| cover the rounding of m_j and of e_j -+ m_j.  A
+    row whose lower end lies above the least upper end U exceeds some other
+    row's value and so is not the first minimum; a row whose lower end is
+    at or above threshold cannot be accepted.  A row whose R_j overflowed
+    always gets its exact sum.
+    """
+    R, C, E = stats
+    g = G[:, i]
+    g_inf = np.isinf(g)
+    est = R - np.where(g_inf, 0.0, g)
+    margin = 2.0 * E + (G.shape[1] + 4) * _U * np.abs(est)
+    hi = est + margin
+    with np.errstate(invalid="ignore"):
+        lo = est - margin
+    exact_inf = C > g_inf
+    hi[exact_inf] = np.inf
+    lo[exact_inf] = np.inf
+    # a row whose R overflowed has lo = nan; the negated tests keep it
+    least = hi.min()
+    keep = ~(lo > least) if least < threshold else ~(lo >= threshold)
+    rows = np.flatnonzero(keep)
+    values = np.full(G.shape[0], np.inf)
+    if rows.size:
+        values[rows] = _level_values(G, i, rows)
+    return values
+
+
+def _certify_cells(pts: np.ndarray, idx: np.ndarray, d2: np.ndarray, k: np.ndarray,
+                   current: np.ndarray, threshold: np.ndarray, cands: np.ndarray,
+                   s: float) -> np.ndarray:
+    """For each point idx[q]: True when no row of cands[q] can score below
+    threshold[q].
+
+    d2, k and current are the points' _point_rows; cands[q] holds the
+    candidate rows of point idx[q], padded with copies of the point.  Write
+    V(y) for the float point_energy_sums gives candidate y of point
+    i = idx[q], rho_y = |y - x_i|, L = 16 max rho_y over its rows and
+    J = {j != i : |x_i - x_j| < L}.  For j outside J the triangle
+    inequality gives |y - x_j| <= (1 + rho_y / L) |x_i - x_j|, so
+    k(y, x_j) >= F_y k(x_i, x_j) with F_y = (1 + rho_y / L)**(-s), and
+
+        V(y) >= sum_J k(y, x_j) + F_y (current - sum_J k(x_i, x_j))
+
+    in real arithmetic.  Rounding: a float sum of n nonnegative terms is
+    within gamma_n = nu/(1 - nu) of the real one in any order, a kernel
+    float within eta ~ ((p + 2) s / 2 + 1) u of the kernel of the float
+    points and F_y within phi ~ s (p + 6) u; eps = (N + (2p + 8)(s + 1)) u
+    exceeds gamma_N + 2 eta + phi.  The bound used takes the far part as
+    max(0, c - n - 2 eps (c + n)) (1 - 2 eps) (c = current, n = the near
+    sum of row i), scales the near sums by 1 - 4 eps and subtracts
+    (N + 1) 2**-1070 for kernels that underflow; the doubled eps covers the
+    second-order terms and the evaluation of the bound.  The guards keep
+    every squared distance the far part rests on in the normal range
+    (rho_y**2 is raised to _TINY / 256, which only lowers F_y) and
+    current <= 2**990, so an overflowed near sum (inf) still certifies.
+    A row bitwise equal to x_i scores current, which is never below
+    threshold, so it is left out.
+    """
+    N, p = pts.shape
+    Q = idx.shape[0]
+    x = pts[idx][:, None, :]
+    rows = np.arange(Q)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho2 = ((cands - x) ** 2).sum(axis=2)
+        L2 = 256.0 * rho2.max(axis=1)
+        near = d2 < L2[:, None]
+        near[rows, idx] = False
+        near_i = k.sum(axis=1, where=near)
+        # the near points of each row, padded with the point itself
+        qq, jj = np.nonzero(near)
+        count = np.bincount(qq, minlength=Q)
+        J = np.repeat(idx[:, None], count.max(initial=0), axis=1)
+        J[qq, np.arange(qq.shape[0]) - np.repeat(np.cumsum(count) - count, count)] = jj
+        near_pts = pts[J]
+        kern = np.zeros((Q, cands.shape[1], J.shape[1]))
+        for c in range(p):
+            diff = cands[:, :, None, c] - near_pts[:, None, :, c]
+            diff *= diff
+            kern += diff
+        np.power(kern, -0.5 * s, out=kern)
+        np.copyto(kern, 0.0, where=(J == idx[:, None])[:, None, :])
+        near_y = kern.sum(axis=2)
+        eps = (N + (2 * p + 8) * (s + 1)) * _U
+        far = np.maximum(0.0, current - near_i - 2.0 * eps * (current + near_i)) * (1.0 - 2.0 * eps)
+        F = (1.0 + np.sqrt(np.maximum(rho2, _TINY / 256.0) / L2[:, None])) ** -s
+        ok = near_y * (1.0 - 4.0 * eps) + (F * far[:, None] - (N + 1) * 2.0 ** -1070) \
+            >= threshold[:, None]
+    ok |= (cands == x).all(axis=2)
+    guard = (L2 >= _TINY) & (L2 <= _HUGE) & (d2.max(axis=1) <= _HUGE) & (current <= _HUGE)
+    return guard & ok.all(axis=1)
+
+
+def _screen_batch(pts: np.ndarray, s: float, i0: int, cells_of: list):
+    """(current, threshold, certified) for the points i0, i0 + 1, ...
+
+    cells_of holds the cell blocks of each point of the batch.  The points'
+    own kernel rows (_point_rows) give current and threshold in the floats
+    and order _sweep would form them; each point whose cell rows times N
+    reach _CELL_SCREEN_MIN gets the verdict of _certify_cells.  Every value
+    describes pts as they are now, so a move ends the batch.
+    """
+    N = pts.shape[0]
+    end = i0 + len(cells_of)
+    d2, k, current = _point_rows(pts, i0, end, s)
+    threshold = current - 1e-12 * (1.0 + np.abs(current))
+    rows = [sum(c.shape[0] for c in cells) for cells in cells_of]
+    q = [r for r in range(end - i0) if rows[r] and rows[r] * N >= _CELL_SCREEN_MIN]
+    certified = np.zeros(end - i0, dtype=bool)
+    if q:
+        width = max(rows[r] for r in q)
+        cands = np.repeat(pts[i0:end][q][:, None, :], width, axis=1)
+        for n, r in enumerate(q):
+            cands[n, : rows[r]] = np.concatenate(cells_of[r], axis=0)
+        q = np.array(q) if len(q) < end - i0 else slice(None)
+        certified[q] = _certify_cells(pts, np.arange(i0, end)[q], d2[q], k[q], current[q],
+                                      threshold[q], cands, s)
+    return current, threshold, certified
+
+
+def _offer(mesh: _Mesh, word: tuple, M: int, max_depth: int):
+    """(blocks, level, cells) of a point with this word; see _sweep.
+
+    blocks holds (coords, prefix, tail_len) per candidate block, in offer
+    order; level says whether the first block is the whole level, and cells
+    lists the coordinates of the other blocks.
+    """
+    depth = len(word)
+    level = depth >= 1 and M ** depth <= LEVEL_MOVE_CAP
+    blocks = []
+    if level:
+        blocks.append((mesh.level(depth)[0], (), depth - 1))
+    elif depth >= 1:
+        blocks.append((mesh.block(word[:-1]), word[:-1], 0))
+    if depth < max_depth:
+        blocks.append((mesh.block(word), word, 0))
+    return blocks, level, [c for c, _, _ in (blocks[1:] if level else blocks)]
 
 
 def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mesh,
@@ -205,37 +419,74 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
     point_energy_sums(..., skip_index=i) would form; an accepted move
     recomputes column i of every G_d kept.  Cell blocks come from the mesh
     cache.  Restarts run in order, so nothing here is shared across threads.
+
+    The first minimum of the candidate values is accepted when it lies
+    below threshold = current - 1e-12 (1 + |current|).  Two screens skip
+    exact sums that cannot change that outcome: a candidate whose value is
+    provably at or above threshold, or provably above another candidate's
+    value, is neither the first minimum nor accepted, so it may be given
+    +inf instead.  Level candidates use per-row interval estimates from
+    [R, C, E] (_screened_level_values), rebuilt from each G_d once per
+    sweep and updated with its columns; they run where K N reaches
+    _LEVEL_SCREEN_MIN.  Cell blocks use a near-field lower bound
+    (_certify_cells) where their rows times N reach _CELL_SCREEN_MIN; it is
+    formed for a batch of points at once (_screen_batch), together with
+    their current values, and a block it does not certify is scored
+    exactly.  A move ends the batch, since its values describe the old
+    point, and the next one waits for _MIN_BATCH points without a move.
+    Elsewhere current and the cells are scored in one call as before.  Both
+    bounds carry rounding margins, so accepted moves, energies and every
+    artifact are bit-identical to scoring every candidate.
     """
     M = len(fractal.maps)
     pts = state.pts
+    N = pts.shape[0]
+    stats = {}
+    ahead = {}  # offers of the points of the batch not yet reached
+    batch_cap = max(1, _BATCH_TERMS // N)
+    quiet = batch_cap  # points scored since the last accepted move
+    batch_end = 0  # points before batch_end are covered by the batch; 0 = none
     accepted = 0
-    for i in range(len(state.words)):
+    for i in range(N):
         if accepted >= budget_left:
             break
-        word = state.words[i]
-        depth = len(word)
-        level = depth >= 1 and M ** depth <= LEVEL_MOVE_CAP
-        # (coords, prefix, tail_len) per candidate block, in offer order
-        blocks = []
-        if level:
-            blocks.append((mesh.level(depth)[0], (), depth - 1))
-        elif depth >= 1:
-            blocks.append((mesh.block(word[:-1]), word[:-1], 0))
-        if depth < max_depth:
-            blocks.append((mesh.block(word), word, 0))
+        blocks, level, cells = ahead.pop(i, None) or _offer(mesh, state.words[i], M, max_depth)
         if not blocks:
             continue
-        cells = [pts[i][None, :]] + [c for c, _, _ in (blocks[1:] if level else blocks)]
-        sums = point_energy_sums(np.concatenate(cells, axis=0), pts, s, skip_index=i)
-        current = sums[0]
-        values = sums[1:]
+        rows = sum(c.shape[0] for c in cells)
+        if rows and rows * N >= _CELL_SCREEN_MIN and (i < batch_end or quiet >= _MIN_BATCH):
+            if i >= batch_end:
+                batch_start, batch_end = i, min(N, i + min(batch_cap, 2 * quiet))
+                for r in range(i + 1, batch_end):
+                    ahead[r] = _offer(mesh, state.words[r], M, max_depth)
+                currents, thresholds, certified = _screen_batch(
+                    pts, s, i, [cells] + [ahead[r][2] for r in range(i + 1, batch_end)])
+            current = currents[i - batch_start]
+            threshold = thresholds[i - batch_start]
+            if certified[i - batch_start]:
+                values = np.full(rows, np.inf)
+            else:
+                values = point_energy_sums(np.concatenate(cells, axis=0), pts, s, skip_index=i)
+        else:
+            sums = point_energy_sums(np.concatenate([pts[i][None, :]] + cells, axis=0),
+                                     pts, s, skip_index=i)
+            current, values = sums[0], sums[1:]
+            threshold = current - 1e-12 * (1.0 + abs(current))
+        quiet += 1
         if level:
+            depth = len(state.words[i])
             G = kernels.get(depth)
             if G is None:
                 G = kernels[depth] = _point_kernel(blocks[0][0], pts, s)
-            values = np.concatenate([_level_values(G, i), values])
+            if G.size >= _LEVEL_SCREEN_MIN:
+                if depth not in stats:
+                    stats[depth] = _level_stats(G)
+                level_values = _screened_level_values(G, stats[depth], i, threshold)
+            else:
+                level_values = _level_values(G, i)
+            values = np.concatenate([level_values, values])
         j = int(np.argmin(values))
-        if values[j] < current - 1e-12 * (1.0 + abs(current)):
+        if values[j] < threshold:
             for coords, prefix, tail_len in blocks:
                 if j < coords.shape[0]:
                     break
@@ -243,7 +494,11 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
             state.words[i], state.bases[i] = _row_label(prefix, tail_len, j, M)
             pts[i] = coords[j]
             for d, G in kernels.items():
-                G[:, i] = _point_kernel(pts[i : i + 1], mesh.level(d)[0], s)[0]
+                column = _point_kernel(pts[i : i + 1], mesh.level(d)[0], s)[0]
+                if d in stats:
+                    _update_level_stats(stats[d], G[:, i], column)
+                G[:, i] = column
+            batch_end = quiet = 0
             accepted += 1
     return accepted
 
@@ -327,6 +582,8 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
     """
     if mesh not in ("anchor", "endpoint"):
         raise DomainError("mesh must be 'anchor' or 'endpoint'")
+    if budget < 1:
+        raise DomainError("budget must be positive")
     coords, words, bases = _subset_mesh(fractal, N, depth, mesh == "anchor")
     count = math.comb(coords.shape[0], N)
     if count > budget:

@@ -76,6 +76,9 @@ def test_exhaustive_validation(cantor13):
     with pytest.raises(rf.DomainError):
         # only 2 anchors at depth 1
         rf.exhaustive_minimize(cantor13, 3, 2.0, depth=1)
+    for budget in (0, -5):
+        with pytest.raises(rf.DomainError):
+            rf.exhaustive_minimize(cantor13, 2, 2.0, depth=2, budget=budget)
 
 
 def test_exhaustive_budget_enforced(cantor13):
