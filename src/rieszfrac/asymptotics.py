@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import min_pairwise_distance
+from .energy import min_pairwise_distance, normalized_energy
 from .errors import (
     ClassificationError,
     DomainError,
@@ -27,7 +27,7 @@ from .minimize import (
     MinimizeResult,
     SearchOptions,
     _auto_depth,
-    _lift_chain,
+    _lift_stages,
     local_search_minimize,
 )
 
@@ -273,8 +273,9 @@ def beta_optimum(R_list, s: float, d: float):
 class GeometricLimitReport:
     """Normalized energies along N = n0 * M^k with Cauchy diagnostics.
 
-    normalized[j] is the stage-j value (j = 0 is the n0-point stage); deltas
-    are successive absolute differences; tail_bounds[j] bounds the total
+    normalized[j] is the stage-j value (j = 0 is the n0-point stage);
+    deltas[j - 1] is the increase from stage j - 1 to stage j (see
+    geometric_limit); tail_bounds[j] bounds the total
     increase achievable by all lifts after stage j; min_distances[j] is the
     least pair distance of stage j (nan for one point).
     """
@@ -301,10 +302,17 @@ def geometric_limit(fractal: Fractal, s: float, n0: int, k_max: int,
     together with the analytic tail bounds.  With polish=False the stages
     are the raw iterated lifts.  Their energies and separations come from
     the previous stage by the self-similar recursion, so a raw stage
-    describes the exact images of the previous stage: its delta is the
-    normalized cross energy between those images, which obeys the tail bound
-    up to the rounding of that sum (a few units of roundoff of the
-    normalized value).  Polished stages are evaluated directly.
+    describes the exact images of the previous stage.  With equal ratios
+    M * r**(-s) = M**(s/d) and the normalized value grows by exactly the
+    normalized cross energy between those images, cross_j / N_j**(1+s/d),
+    which is what a raw delta reports: it keeps full relative precision
+    where the difference of two normalized values would be rounding
+    (one ulp from N = 32,768 on cantor(1/3)), and it obeys the tail bound
+    with no roundoff allowance.  When the maps share one linear part the
+    cross terms come from translation-difference clouds, O(n0**2 * T**k)
+    kernel terms for T distinct translation differences instead of O(N**2)
+    (see minimize._lift_stages).  Polished stages are evaluated directly and
+    their delta is the absolute difference of the normalized values.
     """
     _require_equal_ratios(fractal, "geometric limit")
     d = fractal.dimension
@@ -315,11 +323,13 @@ def geometric_limit(fractal: Fractal, s: float, n0: int, k_max: int,
         raise DomainError("n0 must be positive")
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    stages, separations = _lift_chain(fractal, s, n0, k_max, opts, polish)
+    stages, separations, crosses = _lift_stages(fractal, s, n0, k_max, opts, polish)
     n_values = tuple(st.record.N for st in stages)
     energies = tuple(st.record.energy for st in stages)
     normalized = tuple(st.record.normalized for st in stages)
-    deltas = tuple(abs(normalized[j + 1] - normalized[j]) for j in range(k_max))
+    deltas = tuple(abs(normalized[j] - normalized[j - 1]) if crosses[j] is None
+                   else normalized_energy(crosses[j], n_values[j], s, d)
+                   for j in range(1, k_max + 1))
     tails = tuple(tail_bound(fractal, s, n) for n in n_values)
     min_distances = tuple(min_pairwise_distance(st.config) if sep is None else sep
                           for st, sep in zip(stages, separations))

@@ -5,7 +5,9 @@ Energy convention: E_s(x_1..x_N) = sum over ordered pairs i != j of
 loop runs over fixed row blocks of PAIR_BLOCK points in row order; within one
 configuration it covers only the upper triangle i < j, and the energy sum is
 doubled at the end.  Memory stays O(N * PAIR_BLOCK) and results bit-stable
-across process thread counts.
+across process thread counts.  The one loop that is not over points, the
+cross term of a raw lift stage from translation-difference clouds, runs over
+blocks of about CLOUD_BLOCK kernel entries.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .fractal import CellAddress, Fractal, _sq_dists, anchor_cloud, cell_anchor,
 ENERGY_CONVENTION = "ordered-pairs"
 # rows per block of the pair loops; each block holds O(N * PAIR_BLOCK) floats
 PAIR_BLOCK = 64
+# kernel entries per block of the shared-linear-part lift cross pass
+CLOUD_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +182,68 @@ def _lift_cross(parts, s: float):
                     raise SingularConfigurationError("images of the lift share a point")
                 with np.errstate(over="ignore"):
                     total += float(np.sum(np.power(d2, -0.5 * s, out=d2)))
+    return 2.0 * total, least
+
+
+def _shared_lift_cross(base: np.ndarray, linear: np.ndarray, translations: np.ndarray,
+                       j: int, s: float):
+    """(cross energy, least squared distance) of raw lift stage j >= 1 of base
+    under maps x -> A x + t_a that share one linear part A.
+
+    Two points of stage j in distinct images differ by
+    A^j (x0 - y0) + tau_0 + sum_{0<i<j} A^i tau_i, with x0, y0 in base and each
+    tau_i = t_a - t_b (tau_0 != 0).  Grouping the pairs (a, b) by the exact value
+    of t_a - t_b, the cross energy is the kernel sum between the cloud of
+    distinct A^j (x0 - y0) and the cloud of offsets, weighted by the products of
+    the group sizes: O(n0**2 * T**(j-1)) terms for T groups instead of O(N**2).
+    tau_0 and -tau_0 give the same distances, so only the tau_0 whose leading
+    nonzero component is positive are formed and the sum is doubled.  Offsets
+    are streamed as a fixed low-digit cloud plus chunks of the high digits, about
+    CLOUD_BLOCK kernel entries at a time, so memory does not grow with j.  Images
+    that share a point raise.
+    """
+    p = base.shape[1]
+    taus, mult = np.unique((translations[:, None] - translations[None, :]).reshape(-1, p),
+                           axis=0, return_counts=True)
+    if mult[~taus.any(axis=1)].sum() > translations.shape[0]:
+        raise SingularConfigurationError("images of the lift share a point")
+    mult = mult.astype(float)
+    T = taus.shape[0]
+    half = taus[np.arange(T), np.argmax(taus != 0.0, axis=1)] > 0.0
+    powers = [taus]  # A^i tau for every group, i < j
+    for _ in range(1, j):
+        powers.append(np.einsum("ij,nj->ni", linear, powers[-1]))
+    diffs, counts = np.unique((base[:, None] - base[None, :]).reshape(-1, p),
+                              axis=0, return_counts=True)
+    for _ in range(j):
+        diffs = np.einsum("ij,nj->ni", linear, diffs)
+    low, w_low = taus[half], mult[half]
+    h = 1
+    while h < j and diffs.shape[0] * low.shape[0] * T <= CLOUD_BLOCK:
+        low = (low[:, None] + powers[h][None, :]).reshape(-1, p)
+        w_low = np.outer(w_low, mult).reshape(-1)
+        h += 1
+    chunk = max(1, CLOUD_BLOCK // (diffs.shape[0] * low.shape[0]))
+    n_high = T ** (j - h)
+    total = 0.0
+    least = math.inf
+    for q0 in range(0, n_high, chunk):
+        idx = np.arange(q0, min(n_high, q0 + chunk))
+        high = np.zeros((idx.shape[0], p))
+        w_high = np.ones(idx.shape[0])
+        for i in range(h, j):
+            idx, digit = np.divmod(idx, T)
+            high += powers[i][digit]
+            w_high *= mult[digit]
+        # diffs holds d and -d alike: |offset - d| takes the values of |d + offset|
+        d2 = _sq_dists(diffs, (high[:, None] + low[None, :]).reshape(-1, p))
+        least = min(least, float(d2.min()))
+        if least == 0.0:
+            raise SingularConfigurationError("images of the lift share a point")
+        with np.errstate(over="ignore"):
+            np.power(d2, -0.5 * s, out=d2)
+        d2 *= np.outer(w_high, w_low).reshape(-1)
+        total += float(np.sum(d2.sum(axis=1) * counts))
     return 2.0 * total, least
 
 

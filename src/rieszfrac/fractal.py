@@ -192,6 +192,16 @@ class Fractal:
         rs = self.ratios
         return max(rs) - min(rs) <= 1e-15
 
+    @property
+    def shared_linear_part(self):
+        """ratio * rotation when every map has exactly the same ratio and
+        rotation (the maps differ only by translation), else None."""
+        first = self.maps[0]
+        for m in self.maps[1:]:
+            if m.ratio != first.ratio or not np.array_equal(m.rotation, first.rotation):
+                return None
+        return first.ratio * first.rotation
+
     def base_anchor(self) -> np.ndarray:
         return self.maps[0].fixed_point()
 

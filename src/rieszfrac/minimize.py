@@ -36,6 +36,7 @@ from .energy import (
     _min_sq_distance,
     _point_kernel,
     _point_rows,
+    _shared_lift_cross,
     point_energy_sums,
     riesz_energy,
 )
@@ -698,20 +699,15 @@ def lift(fractal: Fractal, config: Configuration, s: float = None) -> Configurat
     out = Configuration(pts, addresses=addrs, fractal_label=config.fractal_label)
     if s is not None and M >= 2 and fractal.equal_ratios and fractal.sigma > 0.0:
         energy = riesz_energy(config, s)
-        lifted, _ = _lifted_energy(fractal, s, pts, energy)
-        _check_lift_bound(fractal, s, config.n, energy, lifted)
+        cross, _ = _lift_cross(np.split(pts, M), s)
+        _check_lift_bound(fractal, s, config.n, energy, _lifted_energy(fractal, s, energy, cross))
     return out
 
 
-def _lifted_energy(fractal: Fractal, s: float, pts: np.ndarray, energy: float):
-    """(energy, least squared cross distance) of pts, the lift of a set X.
-
-    pts stacks the images of X under maps 1..M in order; energy is E(X).  The self-similar
-    recursion E(union psi_m X) = sum_m r_m**(-s) E(X) + cross terms is exact;
-    the cross terms between distinct images take one pass of _lift_cross.
-    """
-    cross, least = _lift_cross(np.split(pts, len(fractal.maps)), s)
-    return sum(m.ratio ** (-s) for m in fractal.maps) * energy + cross, least
+def _lifted_energy(fractal: Fractal, s: float, energy: float, cross: float) -> float:
+    """E(union psi_m X) = sum_m r_m**(-s) E(X) + cross terms, the exact
+    self-similar recursion; energy is E(X), cross the interaction of the images."""
+    return sum(m.ratio ** (-s) for m in fractal.maps) * energy + cross
 
 
 def _check_lift_bound(fractal: Fractal, s: float, n: int, energy: float, lifted: float):
@@ -743,21 +739,33 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     polish=False the stages after the first are the raw iterated lifts, which
     is the construction behind the geometric-subsequence bound; their
     energies follow from the previous stage's by the self-similar recursion
-    (see _lift_chain), so they describe the exact images of that stage.
+    and never from a pair pass over the stage (see _lift_stages), so they
+    describe the exact images of that stage.
     """
     return _lift_chain(fractal, s, n0, k, opts, polish)[0]
 
 
 def _lift_chain(fractal: Fractal, s: float, n0: int, k: int,
                 opts: SearchOptions, polish: bool):
-    """(stages, least pair distances): lift_chain and each stage's separation.
+    """(stages, least pair distances): lift_chain and each stage's separation,
+    as computed by _lift_stages."""
+    stages, separations, _ = _lift_stages(fractal, s, n0, k, opts, polish)
+    return stages, separations
 
-    Stage 0 and polished stages are evaluated directly.  A raw stage takes
-    energy = sum_m r_m**(-s) * E_prev + cross and squared separation
-    min(min_m r_m**2 * delta_prev**2, least cross distance**2), the cross
-    terms from one _lift_cross pass; with equal ratios the lift bound is
-    checked on that recursive energy, polished or not.  The distance is nan
-    for a one-point stage and None for a polished stage (not computed).
+
+def _lift_stages(fractal: Fractal, s: float, n0: int, k: int,
+                 opts: SearchOptions, polish: bool):
+    """(stages, least pair distances, cross terms) of a lift chain.
+
+    Stage 0 and polished stages are evaluated directly.  A raw stage j takes
+    energy = sum_m r_m**(-s) * E_prev + cross_j and squared separation
+    min(min_m r_m**2 * delta_prev**2, least cross distance**2).  When the maps
+    share one linear part (Fractal.shared_linear_part) cross_j comes from the
+    translation-difference clouds of stage 0 (_shared_lift_cross), otherwise
+    from one _lift_cross pass over the images.  With equal ratios the lift
+    bound is checked on the recursive energy, polished or not.  The distance is
+    nan for a one-point stage and None for a polished stage (not computed);
+    the cross term is None for stage 0 and for polished stages.
     """
     opts = opts if opts is not None else SearchOptions()
     M = len(fractal.maps)
@@ -778,14 +786,22 @@ def _lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     results = [_state_result(fractal, s, state, "lift-seeded", False, moves, energy)]
     sep2 = _min_sq_distance(state.pts)
     separations = [math.sqrt(sep2) if n0 >= 2 else math.nan]
+    crosses = [None]
     mesh = _Mesh(fractal)
     r2 = min(fractal.ratios) ** 2
-    for _ in range(k):
+    base = state.pts
+    linear = None if polish else fractal.shared_linear_part
+    translations = np.stack([m.translation for m in fractal.maps])
+    for j in range(1, k + 1):
         prev_energy = results[-1].record.energy
         n_prev = len(state.words)
         state = _lift_state(fractal, state)
+        if linear is not None:
+            cross, cross_sep2 = _shared_lift_cross(base, linear, translations, j, s)
+        elif fractal.equal_ratios or not polish:
+            cross, cross_sep2 = _lift_cross(np.split(state.pts, M), s)
         if fractal.equal_ratios or not polish:
-            energy, cross_sep2 = _lifted_energy(fractal, s, state.pts, prev_energy)
+            energy = _lifted_energy(fractal, s, prev_energy, cross)
         if fractal.equal_ratios:
             _check_lift_bound(fractal, s, n_prev, prev_energy, energy)
         if polish:
@@ -793,12 +809,14 @@ def _lift_chain(fractal: Fractal, s: float, n0: int, k: int,
             state, energy, moves = _run_search(fractal, s, state, opts, max_depth, mesh)
             stage = _state_result(fractal, s, state, "lift-seeded", False, moves, energy)
             separations.append(None)
+            crosses.append(None)
         else:
             stage = _state_result(fractal, s, state, "lift-seeded", False, 0, energy)
             sep2 = min(r2 * sep2, cross_sep2)
             separations.append(math.sqrt(sep2))
+            crosses.append(cross)
         results.append(stage)
-    return results, separations
+    return results, separations, crosses
 
 
 def best_packing(fractal: Fractal, N: int, depth: int,
