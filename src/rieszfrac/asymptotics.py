@@ -331,11 +331,9 @@ def geometric_limit(fractal: Fractal, s: float, n0: int, k_max: int,
                    else normalized_energy(crosses[j], n_values[j], s, d)
                    for j in range(1, k_max + 1))
     tails = tuple(tail_bound(fractal, s, n) for n in n_values)
-    min_distances = tuple(min_pairwise_distance(st.config) if sep is None else sep
-                          for st, sep in zip(stages, separations))
     return GeometricLimitReport(normalized[-1], s, d, n_values, energies,
                                 normalized, deltas, tails, polish, tuple(stages),
-                                min_distances)
+                                tuple(separations))
 
 
 # ---------------------------------------------------------------------------

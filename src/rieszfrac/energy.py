@@ -18,11 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularConfigurationError
-from .fractal import CellAddress, Fractal, _sq_dists, anchor_cloud, cell_anchor, cell_diameter
+from .fractal import (
+    PAIR_BLOCK,
+    Fractal,
+    _row_blocks,
+    _sq_dists,
+    anchor_cloud,
+    cell_anchor,
+    cell_diameter,
+)
 
 ENERGY_CONVENTION = "ordered-pairs"
-# rows per block of the pair loops; each block holds O(N * PAIR_BLOCK) floats
-PAIR_BLOCK = 64
 # kernel entries per block of the shared-linear-part lift cross pass
 CLOUD_BLOCK = 1 << 16
 
@@ -82,24 +88,6 @@ def _as_points(config) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts[:, None]
     return pts
-
-
-def _row_blocks(a: np.ndarray, b: np.ndarray = None):
-    """Squared distances, PAIR_BLOCK rows of `a` at a time, in row order.
-
-    Against `b` each block holds its rows' distances to all of b.  With b
-    omitted it covers the pairs i < j of `a`: rows i0.. against the points
-    from i0 on, with the entries on or below the diagonal set to inf.
-    """
-    for i0 in range(0, a.shape[0], PAIR_BLOCK):
-        rows = a[i0 : i0 + PAIR_BLOCK]
-        if b is not None:
-            yield _sq_dists(rows, b)
-        else:
-            d2 = _sq_dists(rows, a[i0:])
-            k = rows.shape[0]
-            d2[:, :k][np.tri(k, dtype=bool)] = np.inf
-            yield d2
 
 
 def _kernel_sum(blocks, s: float, singular: str) -> float:

@@ -30,6 +30,8 @@ MORAN_RESIDUAL_TOL = 1e-14
 DEFAULT_CLOUD_BUDGET = 1 << 18
 # pairwise-distance scans (diameter / separation estimates) use a tighter cap
 DEFAULT_SCAN_BUDGET = 1 << 13
+# rows per block of the distance loops; each block holds O(N * PAIR_BLOCK) floats
+PAIR_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,15 +326,24 @@ def anchor_cloud(fractal: Fractal, depth: int, budget: int = DEFAULT_CLOUD_BUDGE
     """All depth-`depth` cell anchors, rows in lexicographic word order."""
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    M = len(fractal.maps)
-    if M ** depth > budget:
+    return _image_cloud(fractal, fractal.base_anchor()[None, :], depth, budget)
+
+
+def _image_cloud(fractal: Fractal, base: np.ndarray, depth: int,
+                 budget: int = DEFAULT_CLOUD_BUDGET) -> np.ndarray:
+    """psi_w(x) for every word w of length depth and every row x of base.
+
+    Rows are word-major in lexicographic order, base-minor; the word is
+    applied innermost letter first, one map over the whole cloud at a time.
+    """
+    rows = base.shape[0] * len(fractal.maps) ** depth
+    if rows > budget:
         raise ResourceBudgetError(
-            f"{M}**{depth} anchors exceed the enumeration budget {budget}"
+            f"{rows} points at depth {depth} exceed the enumeration budget {budget}"
         )
-    pts = fractal.base_anchor()[None, :]
     for _ in range(depth):
-        pts = np.concatenate([m.apply(pts) for m in fractal.maps], axis=0)
-    return pts
+        base = np.concatenate([m.apply(base) for m in fractal.maps], axis=0)
+    return base
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -343,15 +354,22 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _chunked_sq_dists(a: np.ndarray, b: np.ndarray, reduce_min: bool) -> float:
-    """Min or max squared distance between two point clouds, in bounded memory."""
-    best = math.inf if reduce_min else -math.inf
-    step = 1024
-    for i in range(0, a.shape[0], step):
-        d2 = _sq_dists(a[i : i + step], b)
-        val = float(d2.min()) if reduce_min else float(d2.max())
-        best = min(best, val) if reduce_min else max(best, val)
-    return best
+def _row_blocks(a: np.ndarray, b: np.ndarray = None):
+    """Squared distances, PAIR_BLOCK rows of `a` at a time, in row order.
+
+    Against `b` each block holds its rows' distances to all of b.  With b
+    omitted it covers the pairs i < j of `a`: rows i0.. against the points
+    from i0 on, with the entries on or below the diagonal set to inf.
+    """
+    for i0 in range(0, a.shape[0], PAIR_BLOCK):
+        rows = a[i0 : i0 + PAIR_BLOCK]
+        if b is not None:
+            yield _sq_dists(rows, b)
+        else:
+            d2 = _sq_dists(rows, a[i0:])
+            k = rows.shape[0]
+            d2[:, :k][np.tri(k, dtype=bool)] = np.inf
+            yield d2
 
 
 def estimate_diameter(fractal: Fractal, depth: int, budget: int = DEFAULT_SCAN_BUDGET):
@@ -364,7 +382,8 @@ def estimate_diameter(fractal: Fractal, depth: int, budget: int = DEFAULT_SCAN_B
     if depth < 1:
         raise DomainError("depth must be at least 1")
     pts = anchor_cloud(fractal, depth, budget=budget)
-    estimate = math.sqrt(max(_chunked_sq_dists(pts, pts, reduce_min=False), 0.0))
+    # full blocks: the inf that the self form puts below the diagonal would win
+    estimate = math.sqrt(max(max(float(d2.max()) for d2 in _row_blocks(pts, pts)), 0.0))
     shrink = fractal.r_max ** depth
     if shrink >= 0.5:
         return estimate, math.inf
@@ -409,7 +428,7 @@ def first_level_cloud_distance(fractal: Fractal, depth: int, budget: int = DEFAU
         for j in range(i + 1, M):
             a = pts[i * block : (i + 1) * block]
             b = pts[j * block : (j + 1) * block]
-            cross = min(cross, _chunked_sq_dists(a, b, reduce_min=True))
+            cross = min(cross, min(float(d2.min()) for d2 in _row_blocks(a, b)))
     return math.sqrt(max(cross, 0.0))
 
 

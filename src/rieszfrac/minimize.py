@@ -3,11 +3,13 @@
 Candidate points are symbolic: a point is psi_w(f_b), the image of the fixed
 point of map b under the cell word w.  At any depth this mesh contains every
 cell corner (e.g. both endpoints of each Cantor cell), so optima such as
-{0, 1} are exactly representable.  exhaustive_minimize enumerates subsets of
-the plain base anchors psi_w(b1) (the base-1 rows of the mesh) by default,
-matching the certified-oracle contract; pass mesh="endpoint" to certify over
-the full symbolic mesh.  local_search_minimize is the one entry that reads
-SearchOptions.strategy.
+{0, 1} are exactly representable.  Inside this module a point's only label
+is its cell word w, a tuple of map indices; a MinimizeResult turns the words
+into CellAddress objects when its config is first read.  exhaustive_minimize
+enumerates subsets of the plain base anchors psi_w(b1) (the base-1 rows of
+the mesh) by default, matching the certified-oracle contract; pass
+mesh="endpoint" to certify over the full symbolic mesh.
+local_search_minimize is the one entry that reads SearchOptions.strategy.
 
 The local search scores single-point moves sweep by sweep (_sweep).  For
 s > dim A a point's potential is dominated by its nearest neighbours, so
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .errors import (
     ResourceBudgetError,
     SingularConfigurationError,
 )
-from .fractal import CellAddress, Fractal, _sq_dists
+from .fractal import CellAddress, Fractal, _image_cloud, _sq_dists
 from .parallel import spawned_rngs
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
@@ -105,11 +108,24 @@ class SearchOptions:
 
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
-    config: Configuration
+    """A minimizer's points, the cell word of each point and their energy.
+
+    config, the points with one CellAddress per word, is built on its first
+    read and kept, so a caller that never reads it builds no address.
+    """
+
+    points: np.ndarray
+    words: tuple
+    fractal_label: str
     record: EnergyRecord
     strategy: str
     certified: bool
     iterations: int
+
+    @cached_property
+    def config(self) -> Configuration:
+        return Configuration(self.points, addresses=tuple(CellAddress(w) for w in self.words),
+                             fractal_label=self.fractal_label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,58 +137,43 @@ class PackingResult:
 
 
 class _State:
-    """Mutable search state: one (word, base) label and coordinate per point."""
+    """Mutable search state: the cell word and the coordinates of each point."""
 
-    __slots__ = ("words", "bases", "pts")
+    __slots__ = ("words", "pts")
 
-    def __init__(self, words, bases, pts):
+    def __init__(self, words, pts):
         self.words = list(words)
-        self.bases = list(bases)
         self.pts = np.array(pts, dtype=float)
-
-    def copy(self):
-        return _State(self.words, self.bases, self.pts)
 
 
 class _Mesh:
-    """Lazily built symbolic levels and cached cell blocks.
+    """Lazily built symbolic levels and cached cell blocks, coordinates only.
 
     Level rows are ordered word-major, base-minor, so row q*M**2 + (m-1)*M +
-    (b-1) of level d is the point with base b whose word is the (q+1)-th
-    word of depth d-1 followed by m.  The block of a word w is
+    (b-1) of level d is psi_w(f_b) for the fixed point f_b of map b, where
+    the word w is the (q+1)-th word of depth d-1 followed by m; _row_label
+    decodes a row's word.  The block of a word w is
     apply_word(w, level 1): the same layout with the word w in place of the
     depth d-1 prefix.  It is built as the first map of w applied to the
     (cached) block of the rest of w, the float operations of apply_word.  A
     point's sibling candidates are its parent's block and its child
-    candidates its own.  Blocks are cached by word and hold
-    coordinates only.  Restarts run in order, so one mesh serves them all.
+    candidates its own.  Blocks are cached by word.  Restarts run in
+    order, so one mesh serves them all.
     """
 
-    def __init__(self, fractal: Fractal, budget: int = 1 << 18):
+    def __init__(self, fractal: Fractal):
         self.fractal = fractal
-        self.budget = budget
         self._levels = {}
         self._blocks = {}
 
-    def level(self, depth: int):
+    def level(self, depth: int) -> np.ndarray:
         if depth not in self._levels:
-            f = self.fractal
-            M = len(f.maps)
-            if (M ** depth) * M > self.budget:
-                raise ResourceBudgetError(
-                    f"symbolic mesh at depth {depth} exceeds budget {self.budget}"
-                )
-            coords = f.fixed_points()
-            for _ in range(depth):
-                coords = np.concatenate([m.apply(coords) for m in f.maps], axis=0)
-            words = [w for w in itertools.product(range(1, M + 1), repeat=depth) for _ in range(M)]
-            bases = [b for _ in range(M ** depth) for b in range(1, M + 1)]
-            self._levels[depth] = (coords, words, bases)
+            self._levels[depth] = _image_cloud(self.fractal, self.fractal.fixed_points(), depth)
         return self._levels[depth]
 
     def block(self, word):
         if not word:
-            return self.level(1)[0]
+            return self.level(1)
         coords = self._blocks.get(word)
         if coords is None:
             coords = self._blocks[word] = \
@@ -180,18 +181,19 @@ class _Mesh:
         return coords
 
 
-def _row_label(prefix, tail_len: int, row: int, M: int):
-    """(word, base) of `row` in a block laid out as described on _Mesh.
+def _row_label(prefix, tail_len: int, row: int, M: int) -> tuple:
+    """Cell word of `row` in a block laid out as described on _Mesh.
 
     tail_len is the number of letters between prefix and the last letter:
-    depth - 1 for a whole level (prefix ()), 0 for a cell block.
+    depth - 1 for a whole level (prefix ()), 0 for a cell block.  The base
+    b of the row is not part of the word: psi_w(f_b) lies in the cell w.
     """
     q, rem = divmod(row, M * M)
     tail = []
     for _ in range(tail_len):
         q, r = divmod(q, M)
         tail.append(r + 1)
-    return prefix + tuple(reversed(tail)) + (rem // M + 1,), rem % M + 1
+    return prefix + tuple(reversed(tail)) + (rem // M + 1,)
 
 
 def _auto_depth(M: int, N: int) -> int:
@@ -401,7 +403,7 @@ def _offer(mesh: _Mesh, word: tuple, M: int, max_depth: int):
     level = depth >= 1 and M ** depth <= LEVEL_MOVE_CAP
     blocks = []
     if level:
-        blocks.append((mesh.level(depth)[0], (), depth - 1))
+        blocks.append((mesh.level(depth), (), depth - 1))
     elif depth >= 1:
         blocks.append((mesh.block(word[:-1]), word[:-1], 0))
     if depth < max_depth:
@@ -492,10 +494,10 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
                 if j < coords.shape[0]:
                     break
                 j -= coords.shape[0]
-            state.words[i], state.bases[i] = _row_label(prefix, tail_len, j, M)
+            state.words[i] = _row_label(prefix, tail_len, j, M)
             pts[i] = coords[j]
             for d, G in kernels.items():
-                column = _point_kernel(pts[i : i + 1], mesh.level(d)[0], s)[0]
+                column = _point_kernel(pts[i : i + 1], mesh.level(d), s)[0]
                 if d in stats:
                     _update_level_stats(stats[d], G[:, i], column)
                 G[:, i] = column
@@ -525,17 +527,20 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
 
 def _state_result(fractal, s, state: _State, strategy, certified, iterations,
                   energy: float = None) -> MinimizeResult:
-    """The state as a result; its energy is evaluated unless already known."""
-    config = Configuration(
-        state.pts.copy(),
-        addresses=tuple(CellAddress(w) for w in state.words),
-        fractal_label=fractal.label,
-    )
+    """The state as a result; its energy is evaluated unless already known.
+
+    The result takes the state's points and words.  Nothing moves those
+    points afterwards (a lift builds new ones), so they are frozen, not
+    copied.
+    """
+    pts = state.pts
+    pts.setflags(write=False)
     if energy is None:
-        record = EnergyRecord.from_config(config, s, fractal.dimension)
+        record = EnergyRecord.from_config(pts, s, fractal.dimension)
     else:
-        record = EnergyRecord.from_energy(energy, config.n, s, fractal.dimension)
-    return MinimizeResult(config, record, strategy, certified, iterations)
+        record = EnergyRecord.from_energy(energy, pts.shape[0], s, fractal.dimension)
+    return MinimizeResult(pts, tuple(state.words), fractal.label, record, strategy,
+                          certified, iterations)
 
 
 def _first_best(K: int, N: int, score):
@@ -556,22 +561,22 @@ def _first_best(K: int, N: int, score):
 
 
 def _subset_mesh(fractal: Fractal, N: int, depth: int, base_only: bool):
-    """(coords, words, bases) of the depth-l mesh, checked to hold N points.
+    """(coords, words) of the depth-l mesh, checked to hold N points.
 
-    base_only keeps the base-1 rows, the cell anchors psi_w(b1).
+    base_only keeps the base-1 rows, the cell anchors psi_w(b1); words(rows)
+    decodes the cell words of the given rows of coords.
     """
     if N < 2:
         raise DomainError("need at least two points")
     if depth < 1:
         raise DomainError("depth must be at least 1")
-    coords, words, bases = _Mesh(fractal).level(depth)
-    if base_only:
-        M = len(fractal.maps)
-        coords, words, bases = coords[::M], words[::M], bases[::M]
+    M = len(fractal.maps)
+    stride = M if base_only else 1
+    coords = _Mesh(fractal).level(depth)[::stride]
     K = coords.shape[0]
     if K < N:
         raise DomainError(f"only {K} candidates at depth {depth} for N={N}")
-    return coords, words, bases
+    return coords, lambda rows: [_row_label((), depth - 1, i * stride, M) for i in rows]
 
 
 def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
@@ -585,7 +590,7 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
         raise DomainError("mesh must be 'anchor' or 'endpoint'")
     if budget < 1:
         raise DomainError("budget must be positive")
-    coords, words, bases = _subset_mesh(fractal, N, depth, mesh == "anchor")
+    coords, words = _subset_mesh(fractal, N, depth, mesh == "anchor")
     count = math.comb(coords.shape[0], N)
     if count > budget:
         raise ResourceBudgetError(
@@ -599,8 +604,7 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
         coords.shape[0], N, lambda sub: float(kernel[np.ix_(sub, sub)].sum()))
     if best is None:
         raise SingularConfigurationError("every candidate subset contains coincident points")
-    state = _State([words[i] for i in best], [bases[i] for i in best],
-                   coords[list(best)])
+    state = _State(words(best), coords[list(best)])
     return _state_result(fractal, s, state, "exhaustive", True, count)
 
 
@@ -619,7 +623,7 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
     if max_depth < depth:
         raise DomainError("max_depth must not be below depth")
     mesh = _Mesh(fractal)
-    coords, words, bases = mesh.level(depth)
+    coords = mesh.level(depth)
     K = coords.shape[0]
     if K < N:
         raise DomainError(f"depth {depth} offers only {K} candidates for N={N}")
@@ -631,8 +635,7 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
         starts.append([int(i) for i in idx])
 
     def run(indices):
-        st = _State([tuple(words[i]) for i in indices],
-                    [bases[i] for i in indices], coords[list(indices)])
+        st = _State([_row_label((), depth - 1, i, M) for i in indices], coords[list(indices)])
         return _run_search(fractal, s, st, opts, max_depth, mesh)
 
     outcomes = [run(st) for st in starts]
@@ -675,8 +678,7 @@ def _lift_seeded(fractal: Fractal, N: int, s: float, opts: SearchOptions) -> Min
         state, energy, moves = _local_search_state(fractal, N, s,
                                                    replace(opts, strategy="local-search"))
         return _state_result(fractal, s, state, "local-search", False, moves, energy)
-    stages = lift_chain(fractal, s, n0, k, opts=opts, polish=True)
-    return stages[-1]
+    return lift_chain(fractal, s, n0, k, opts=opts, polish=True)[-1]
 
 
 def lift(fractal: Fractal, config: Configuration, s: float = None) -> Configuration:
@@ -724,11 +726,8 @@ def _check_lift_bound(fractal: Fractal, s: float, n: int, energy: float, lifted:
 
 
 def _lift_state(fractal: Fractal, state: _State) -> _State:
-    M = len(fractal.maps)
     pts = np.concatenate([m.apply(state.pts) for m in fractal.maps], axis=0)
-    words = [(m,) + w for m in range(1, M + 1) for w in state.words]
-    bases = [b for _ in range(M) for b in state.bases]
-    return _State(words, bases, pts)
+    return _State([(m,) + w for m in range(1, len(fractal.maps) + 1) for w in state.words], pts)
 
 
 def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
@@ -742,30 +741,24 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     and never from a pair pass over the stage (see _lift_stages), so they
     describe the exact images of that stage.
     """
-    return _lift_chain(fractal, s, n0, k, opts, polish)[0]
-
-
-def _lift_chain(fractal: Fractal, s: float, n0: int, k: int,
-                opts: SearchOptions, polish: bool):
-    """(stages, least pair distances): lift_chain and each stage's separation,
-    as computed by _lift_stages."""
-    stages, separations, _ = _lift_stages(fractal, s, n0, k, opts, polish)
-    return stages, separations
+    return _lift_stages(fractal, s, n0, k, opts, polish)[0]
 
 
 def _lift_stages(fractal: Fractal, s: float, n0: int, k: int,
                  opts: SearchOptions, polish: bool):
     """(stages, least pair distances, cross terms) of a lift chain.
 
-    Stage 0 and polished stages are evaluated directly.  A raw stage j takes
-    energy = sum_m r_m**(-s) * E_prev + cross_j and squared separation
-    min(min_m r_m**2 * delta_prev**2, least cross distance**2).  When the maps
-    share one linear part (Fractal.shared_linear_part) cross_j comes from the
+    Stage 0 and polished stages are evaluated directly, their separation by
+    one pass over their points.  A raw stage j takes energy = sum_m r_m**(-s)
+    * E_prev + cross_j and squared separation min(min_m r_m**2 *
+    delta_prev**2, least cross distance**2).  When the maps share one linear
+    part (Fractal.shared_linear_part) cross_j comes from the
     translation-difference clouds of stage 0 (_shared_lift_cross), otherwise
     from one _lift_cross pass over the images.  With equal ratios the lift
-    bound is checked on the recursive energy, polished or not.  The distance is
-    nan for a one-point stage and None for a polished stage (not computed);
-    the cross term is None for stage 0 and for polished stages.
+    bound is checked on the recursive energy, polished or not.  A stage's
+    word for point m * n_prev + i is (m,) + the word of point i before.  The
+    distance is nan for a one-point stage; the cross term is None for stage
+    0 and for polished stages.  No stage's config is read here.
     """
     opts = opts if opts is not None else SearchOptions()
     M = len(fractal.maps)
@@ -778,7 +771,7 @@ def _lift_stages(fractal: Fractal, s: float, n0: int, k: int,
     if k < 0:
         raise DomainError("k must be nonnegative")
     if n0 == 1:
-        state = _State([()], [1], fractal.base_anchor()[None, :])
+        state = _State([()], fractal.base_anchor()[None, :])
         energy, moves = 0.0, 0
     else:
         state, energy, moves = _local_search_state(
@@ -807,15 +800,14 @@ def _lift_stages(fractal: Fractal, s: float, n0: int, k: int,
         if polish:
             max_depth = max(len(w) for w in state.words) + 8
             state, energy, moves = _run_search(fractal, s, state, opts, max_depth, mesh)
-            stage = _state_result(fractal, s, state, "lift-seeded", False, moves, energy)
-            separations.append(None)
+            sep2 = _min_sq_distance(state.pts)
             crosses.append(None)
         else:
-            stage = _state_result(fractal, s, state, "lift-seeded", False, 0, energy)
+            moves = 0
             sep2 = min(r2 * sep2, cross_sep2)
-            separations.append(math.sqrt(sep2))
             crosses.append(cross)
-        results.append(stage)
+        separations.append(math.sqrt(sep2))
+        results.append(_state_result(fractal, s, state, "lift-seeded", False, moves, energy))
     return results, separations, crosses
 
 
@@ -828,7 +820,7 @@ def best_packing(fractal: Fractal, N: int, depth: int,
     """
     if budget < 1:
         raise DomainError("budget must be positive")
-    coords, words, _ = _subset_mesh(fractal, N, depth, base_only=False)
+    coords, words = _subset_mesh(fractal, N, depth, base_only=False)
     K = coords.shape[0]
     dist = np.sqrt(_sq_dists(coords, coords))
     np.fill_diagonal(dist, np.inf)
@@ -860,7 +852,7 @@ def best_packing(fractal: Fractal, N: int, depth: int,
         strategy = "greedy-exchange"
     config = Configuration(
         coords[chosen],
-        addresses=tuple(CellAddress(words[i]) for i in chosen),
+        addresses=tuple(CellAddress(w) for w in words(chosen)),
         fractal_label=fractal.label,
     )
     return PackingResult(config, best_delta, certified, strategy)

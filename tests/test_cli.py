@@ -155,6 +155,25 @@ def test_geometric_limit_artifacts(tmp_path, capsys):
     assert [r[1] for r in rows] == ["2", "4", "8", "16", "32"]
 
 
+@pytest.mark.parametrize("flags", [["--no-polish"], []])
+def test_geometric_limit_builds_no_cell_address(monkeypatch, tmp_path, capsys, flags):
+    made = []
+    real = rf.minimize.CellAddress
+
+    def counted(word):
+        made.append(word)
+        return real(word)
+
+    monkeypatch.setattr(rf.minimize, "CellAddress", counted)
+    assert rf.main(["geometric-limit", "--fractal", "cantor(1/3)", "--s", "3", "--n0", "2",
+                    "--k-max", "4", "--seed", "1", "--out", str(tmp_path)] + flags) == 0
+    capsys.readouterr()
+    assert made == []
+    # the count sees the addresses a config read builds
+    stage = rf.lift_chain(rf.cantor("1/3"), 3.0, 2, 2, polish=not flags)[-1]
+    assert stage.config.n == 8 and len(made) == 8
+
+
 # -------------------------------------------------------------------- g-curve
 
 def test_g_curve_artifacts(tmp_path, capsys):

@@ -187,7 +187,7 @@ def test_lift_recursion_matches_direct_evaluation(case, cantor13, mixed_fractal)
         "two-scale": (mixed_fractal, 3.0, 2, 8),
     }[case]
     opts = rf.SearchOptions(seed=0, restarts=1)
-    stages, seps = rf.minimize._lift_chain(fractal, s, n0, k, opts, False)
+    stages, seps, _ = rf.minimize._lift_stages(fractal, s, n0, k, opts, False)
     assert len(stages) == len(seps) == k + 1
     for st, sep in zip(stages, seps):
         direct = rf.riesz_energy(st.config, s)

@@ -294,6 +294,34 @@ def test_derived_diameter_and_sigma(cantor13):
     assert 0.30 < f.sigma <= 1.0 / 3.0 + 1e-12
 
 
+def _rotating_ifs():
+    # three maps of the unit square, two of them rotated (by 90 and 30 degrees)
+    c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    maps = (
+        Similitude(0.3, np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([0.3, 0.0])),
+        Similitude(0.3, np.eye(2), np.array([0.7, 0.0])),
+        Similitude(0.3, np.array([[c, -s], [s, c]]), np.array([0.2, 0.6])),
+    )
+    return rf.make_fractal(maps, label="rotating")
+
+
+@pytest.mark.parametrize("name", ["rotating", "two-scale"])
+def test_blocked_distance_scans_match_a_full_matrix_bitwise(name, mixed_fractal):
+    fractal = {"rotating": _rotating_ifs(), "two-scale": mixed_fractal}[name]
+    M = len(fractal.maps)
+    for depth in range(1, 7):
+        pts = rf.anchor_cloud(fractal, depth)
+        full = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        estimate, upper = rf.estimate_diameter(fractal, depth)
+        assert estimate == math.sqrt(max(float(full.max()), 0.0))
+        shrink = fractal.r_max ** depth
+        assert upper == (math.inf if shrink >= 0.5 else estimate / (1.0 - 2.0 * shrink))
+        block = M ** (depth - 1)
+        cross = min(float(full[i * block : (i + 1) * block, j * block : (j + 1) * block].min())
+                    for i in range(M) for j in range(i + 1, M))
+        assert rf.first_level_cloud_distance(fractal, depth) == math.sqrt(max(cross, 0.0))
+
+
 def test_anchor_cloud_budget(cantor13):
     with pytest.raises(rf.ResourceBudgetError):
         rf.anchor_cloud(cantor13, depth=40)

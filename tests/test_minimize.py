@@ -110,18 +110,20 @@ def _rotating_ifs():
 
 @pytest.mark.parametrize("name", ["cantor", "dust", "two-scale", "rotating"])
 def test_mesh_base_rows_are_the_anchor_cloud(name, cantor13, mixed_fractal):
-    from rieszfrac.minimize import _Mesh
+    from rieszfrac.minimize import _Mesh, _row_label
 
     fractal = {"cantor": cantor13, "dust": rf.cantor_dust_2d(0.25),
                "two-scale": mixed_fractal, "rotating": _rotating_ifs()}[name]
     M = len(fractal.maps)
     mesh = _Mesh(fractal)
     for depth in range(1, 7):
-        coords, words, bases = mesh.level(depth)
+        coords = mesh.level(depth)
         anchors = rf.anchor_cloud(fractal, depth)
         assert coords[::M].tobytes() == anchors.tobytes()
-        assert words[::M] == list(itertools.product(range(1, M + 1), repeat=depth))
-        assert bases[::M] == [1] * M ** depth
+        # row q * M + b - 1 is the point with base b in the q-th cell
+        words = [_row_label((), depth - 1, row, M) for row in range(coords.shape[0])]
+        assert words == [w for w in itertools.product(range(1, M + 1), repeat=depth)
+                         for _ in range(M)]
     res = rf.exhaustive_minimize(fractal, 3, 2.0, depth=2)
     anchors = rf.anchor_cloud(fractal, 2)
     for point, address in zip(res.config.points, res.config.addresses):
@@ -237,13 +239,14 @@ def test_lift_chain_regression_anchors(cantor13):
 
 def test_level_kernels_match_fresh_sums_bitwise(cantor13):
     from rieszfrac.energy import _point_kernel
-    from rieszfrac.minimize import _level_values, _Mesh, _State, _sweep
+    from rieszfrac.minimize import _level_values, _Mesh, _row_label, _State, _sweep
 
     s, N, depth = 3.0, 24, 5
     mesh = _Mesh(cantor13)
-    coords, words, bases = mesh.level(depth)
-    idx = np.sort(np.random.default_rng(5).choice(len(words), size=N, replace=False))
-    state = _State([words[i] for i in idx], [bases[i] for i in idx], coords[idx])
+    coords = mesh.level(depth)
+    M = len(cantor13.maps)
+    idx = np.sort(np.random.default_rng(5).choice(coords.shape[0], size=N, replace=False))
+    state = _State([_row_label((), depth - 1, i, M) for i in idx], coords[idx])
     kernels = {}
     accepted = []
     while not accepted or accepted[-1] > 0:
@@ -251,19 +254,18 @@ def test_level_kernels_match_fresh_sums_bitwise(cantor13):
         # the last sweep accepts nothing, so every column there was zeroed
         # and restored; a kept G_d must still be the kernel of the points
         for d, G in kernels.items():
-            assert G.tobytes() == _point_kernel(mesh.level(d)[0], state.pts, s).tobytes()
+            assert G.tobytes() == _point_kernel(mesh.level(d), state.pts, s).tobytes()
     assert sum(accepted) > 0 and len(kernels) >= 2
-    M = len(cantor13.maps)
-    level1 = mesh.level(1)[0]
-    for w, b, pt in zip(state.words, state.bases, state.pts):
-        expected = cantor13.apply_word(w[:-1], level1)[(w[-1] - 1) * M + b - 1]
-        assert pt == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    # each point is one of the M points psi_w(f_b) of its word w's cell
+    for w, pt in zip(state.words, state.pts):
+        cell = mesh.block(w[:-1])[(w[-1] - 1) * M : w[-1] * M]
+        assert pt.tobytes() in {row.tobytes() for row in cell}
     saw_inf = False
     for d, G in kernels.items():
         before = G.tobytes()
         for i in range(N):
             values = _level_values(G, i)
-            fresh = rf.point_energy_sums(mesh.level(d)[0], state.pts, s, skip_index=i)
+            fresh = rf.point_energy_sums(mesh.level(d), state.pts, s, skip_index=i)
             assert values.tobytes() == fresh.tobytes()
             assert G.tobytes() == before
             saw_inf = saw_inf or bool(np.isinf(values).any())
@@ -344,6 +346,39 @@ def test_lift_chain_singleton_start(cantor13):
     chain = rf.lift_chain(cantor13, s=3.0, n0=1, k=2, polish=False)
     assert [r.record.N for r in chain] == [1, 2, 4]
     assert chain[0].record.energy == 0.0
+
+
+@pytest.mark.parametrize("case", ["cantor", "dust", "two-scale"])
+def test_raw_stage_addresses_are_the_lifted_addresses(case, cantor13, mixed_fractal):
+    # cantor and the dust take the translation-difference route, the
+    # two-scale fixture the direct _lift_cross pass
+    fractal, s, n0, k = {
+        "cantor": (cantor13, 3.0, 2, 5),
+        "dust": (rf.cantor_dust_2d("1/4"), 4.0, 4, 3),
+        "two-scale": (mixed_fractal, 3.0, 2, 5),
+    }[case]
+    stages = rf.lift_chain(fractal, s, n0, k, opts=rf.SearchOptions(seed=0, restarts=1),
+                           polish=False)
+    for prev, stage in zip(stages, stages[1:]):
+        lifted = rf.lift(fractal, prev.config)
+        assert stage.config.addresses == lifted.addresses
+        assert stage.config.points.tobytes() == lifted.points.tobytes()
+
+
+def test_result_config_is_built_once_and_stages_keep_their_points(cantor13):
+    s = 3.0
+    opts = rf.SearchOptions(seed=0, restarts=2)
+    shorter = rf.lift_chain(cantor13, s, 3, 2, opts=opts, polish=True)
+    stages = rf.lift_chain(cantor13, s, 3, 3, opts=opts, polish=True)
+    for stage in stages:
+        assert stage.config is stage.config
+        assert not stage.points.flags.writeable
+        # a point moved after its stage was recorded would change the energy
+        assert rf.riesz_energy(stage.config, s) == stage.record.energy
+    # polishing stage 3 left the stages before it as a chain that stops there
+    for a, b in zip(shorter, stages):
+        assert a.config.points.tobytes() == b.config.points.tobytes()
+        assert a.config.addresses == b.config.addresses
 
 
 # -------------------------------------------------------------- best packing

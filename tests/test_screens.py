@@ -61,7 +61,7 @@ def _reference_sweep(fractal, s, state, max_depth, mesh, kernels, budget_left) -
         # (coords, prefix, tail_len) per candidate block, in offer order
         blocks = []
         if level:
-            blocks.append((mesh.level(depth)[0], (), depth - 1))
+            blocks.append((mesh.level(depth), (), depth - 1))
         elif depth >= 1:
             blocks.append((mesh.block(word[:-1]), word[:-1], 0))
         if depth < max_depth:
@@ -83,10 +83,10 @@ def _reference_sweep(fractal, s, state, max_depth, mesh, kernels, budget_left) -
                 if j < coords.shape[0]:
                     break
                 j -= coords.shape[0]
-            state.words[i], state.bases[i] = _row_label(prefix, tail_len, j, M)
+            state.words[i] = _row_label(prefix, tail_len, j, M)
             pts[i] = coords[j]
             for d, G in kernels.items():
-                G[:, i] = _point_kernel(pts[i : i + 1], mesh.level(d)[0], s)[0]
+                G[:, i] = _point_kernel(pts[i : i + 1], mesh.level(d), s)[0]
             accepted += 1
     return accepted
 
@@ -130,12 +130,11 @@ def _cases(draw):
     cap_depth = max(dd for dd in range(1, 12) if M ** dd <= LEVEL_MOVE_CAP)
     depths = st.integers(1, cap_depth + 2)
     mesh = _Mesh(fractal)
-    words, bases, pts = [], [], []
+    words, pts = [], []
 
     def add(word, base):
         row = (word[-1] - 1) * M + base - 1
         words.append(word)
-        bases.append(base)
         pts.append(mesh.block(word[:-1])[row])
 
     for _ in range(draw(st.integers(3, 9))):
@@ -151,7 +150,7 @@ def _cases(draw):
     words[-1] = w + (b,)
     add(tuple(draw(st.lists(st.integers(1, M), min_size=level_depth, max_size=level_depth))),
         draw(st.integers(1, M)))
-    state = _State(words, bases, np.array(pts))
+    state = _State(words, np.array(pts))
     max_depth = max(len(w) for w in words) + draw(st.integers(0, 3))
     knobs = {
         "_CELL_SCREEN_MIN": draw(st.sampled_from([0, 0, minimize._CELL_SCREEN_MIN])),
@@ -163,9 +162,12 @@ def _cases(draw):
     return fractal, s, state, max_depth, knobs, budget
 
 
+def _copy(state: _State) -> _State:
+    return _State(state.words, state.pts)
+
+
 def _assert_same(a: _State, b: _State):
     assert a.words == b.words
-    assert a.bases == b.bases
     assert a.pts.tobytes() == b.pts.tobytes()
 
 
@@ -176,7 +178,7 @@ def _assert_same(a: _State, b: _State):
 @given(_cases())
 def test_screened_sweep_matches_reference_bitwise(case):
     fractal, s, state, max_depth, knobs, budget = case
-    ref, new = state.copy(), state.copy()
+    ref, new = _copy(state), _copy(state)
     ref_mesh, new_mesh = _Mesh(fractal), _Mesh(fractal)
     ref_kernels, new_kernels = {}, {}
     with pytest.MonkeyPatch.context() as mp:
@@ -202,9 +204,9 @@ def test_differential_cases_reach_the_screens():
     words = [(1,) * 9, (2,) * 9, (1, 2, 1), (2, 1, 2, 2), (1, 2, 1, 1)]
     bases = [1, 2, 2, 1, 1]
     pts = [mesh.block(w[:-1])[(w[-1] - 1) * 2 + b - 1] for w, b in zip(words, bases)]
-    pts[4] = mesh.level(3)[0][4]  # the level row of word (1, 2, 1), base 1
-    state = _State(words, bases, np.array(pts))
-    ref, new = state.copy(), state.copy()
+    pts[4] = mesh.level(3)[4]  # the level row of word (1, 2, 1), base 1
+    state = _State(words, np.array(pts))
+    ref, new = _copy(state), _copy(state)
     ref_kernels, new_kernels = {}, {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimize, "_CELL_SCREEN_MIN", 0)
@@ -217,7 +219,7 @@ def test_differential_cases_reach_the_screens():
                                    10_000) == moves[-1]
             _assert_same(new, ref)
     assert sum(moves) > 0
-    assert np.isinf(_point_kernel(mesh.level(3)[0], state.pts, 4.0)).any()
+    assert np.isinf(_point_kernel(mesh.level(3), state.pts, 4.0)).any()
 
 
 # ------------------------------------------------- level screen margins
@@ -399,5 +401,5 @@ def test_level_screen_forms_few_exact_rows(monkeypatch, cantor13):
     _count_calls(monkeypatch, "_level_values", count)
     evaluated = _count_evaluations(monkeypatch)
     rf.local_search_minimize(cantor13, 256, 3.0, rf.SearchOptions(seed=0))
-    assert minimize._Mesh(cantor13).level(8)[0].shape[0] == 512
+    assert minimize._Mesh(cantor13).level(8).shape[0] == 512
     assert rows[0] < 4 * evaluated[0]
