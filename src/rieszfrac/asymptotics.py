@@ -10,7 +10,6 @@ tail bounds that control how far the heuristics can sit above the truth.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -24,14 +23,18 @@ from .errors import (
 )
 from .fractal import CellAddress, Fractal, anchor_cloud, cell_diameter
 from .minimize import (
-    MinimizeResult,
     SearchOptions,
     _auto_depth,
     _lift_stages,
+    _row_label,
     local_search_minimize,
 )
 
 _CERT_SLACK = 1e-12
+# the search strategy of each experiment when its options name none; the CLI
+# reads it here (geometric-limit always runs local search)
+_DEFAULT_STRATEGY = {"minimize": SearchOptions.strategy, "g-curve": "lift-seeded",
+                     "weakstar": "lift-seeded", "monotonicity": "exhaustive"}
 
 
 def _require_equal_ratios(fractal: Fractal, what: str):
@@ -377,7 +380,8 @@ def g_curve(fractal: Fractal, s: float, bins: int, N_min: int, N_max: int,
     M = len(fractal.maps)
     if N_max < N_min * M * M:
         raise DomainError("need N_max/N_min >= M^2 to span two octaves")
-    opts = opts if opts is not None else SearchOptions(strategy="lift-seeded")
+    if opts is None:
+        opts = SearchOptions(strategy=_DEFAULT_STRATEGY["g-curve"])
     by_bin = [[] for _ in range(bins)]
     for N in range(N_min, N_max + 1):
         theta = _log_frac(N, M)
@@ -421,7 +425,8 @@ def empirical_cell_measure(fractal: Fractal, config, depth: int) -> CellMeasureR
     if depth < 1:
         raise DomainError("depth must be at least 1")
     M = len(fractal.maps)
-    words = list(itertools.product(range(1, M + 1), repeat=depth))
+    # anchor_cloud's rows: depth lifts of the one base anchor
+    words = [_row_label(row, M, depth, ((),)) for row in range(M ** depth)]
     anchors = None
     counts = {w: 0 for w in words}
     pts = config.points
@@ -441,26 +446,15 @@ def empirical_cell_measure(fractal: Fractal, config, depth: int) -> CellMeasureR
             )
         counts[w] += 1
     d = fractal.dimension
-    n = config.n
-    empirical = {}
-    target = {}
-    max_dev = 0.0
+    counted, empirical, target = {}, {}, {}
     for w in words:
-        emp = counts[w] / n
         tgt = 1.0
         for m in w:
             tgt *= fractal.ratios[m - 1] ** d
-        empirical[w] = emp
-        target[w] = tgt
-        max_dev = max(max_dev, abs(emp - tgt))
-    key = lambda w: str(CellAddress(w))
-    return CellMeasureReport(
-        depth,
-        {key(w): counts[w] for w in words},
-        {key(w): empirical[w] for w in words},
-        {key(w): target[w] for w in words},
-        max_dev,
-    )
+        key = str(CellAddress(w))
+        counted[key], empirical[key], target[key] = counts[w], counts[w] / config.n, tgt
+    max_dev = max(abs(empirical[key] - target[key]) for key in target)
+    return CellMeasureReport(depth, counted, empirical, target, max_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +489,8 @@ def monotonicity_check(fractal: Fractal, s: float, N_range,
             raise DomainError("N_range must be consecutive integers")
     if N_values[0] < 2:
         raise DomainError("N must start at 2 or above")
-    opts = opts if opts is not None else SearchOptions(strategy="exhaustive")
+    if opts is None:
+        opts = SearchOptions(strategy=_DEFAULT_STRATEGY["monotonicity"])
     if opts.strategy == "exhaustive" and opts.depth is None:
         # one mesh for every N, the least depth holding N_max anchors;
         # max_depth bounds only local moves, so it is dropped, not checked
@@ -539,13 +534,12 @@ def scaling_exponent_fit(samples):
 
 
 def separation_samples(stages) -> list:
-    """(N, min pairwise distance) pairs from a list of minimize results."""
+    """(N, min pairwise distance) pairs from minimize results or configurations.
+
+    Only the points are read, so a result builds no config.
+    """
     out = []
     for st in stages:
-        if isinstance(st, MinimizeResult):
-            cfg = st.config
-        else:
-            cfg = st
-        if cfg.n >= 2:
-            out.append((cfg.n, min_pairwise_distance(cfg)))
+        if st.points.shape[0] >= 2:
+            out.append((st.points.shape[0], min_pairwise_distance(st.points)))
     return out

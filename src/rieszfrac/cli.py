@@ -8,9 +8,11 @@ thread; RIESZ_THREADS is no longer read.
 
 Every experiment subcommand goes through _dispatch: its flags' dests are
 the param names of a config document, and the runner comes from _RUNNERS as
-it does for `run`.  --budget is the subset budget under the exhaustive
-strategy and the move budget otherwise; pack's --budget is always its subset
-budget.  Which search runs is decided by minimize.local_search_minimize alone.
+it does for `run`.  An unset flag is no param, so each default is stated
+once, by the runner or by SearchOptions.  --budget is the subset budget
+under the exhaustive strategy and the move budget otherwise; pack's
+--budget is always its subset budget.  Which search runs is decided by
+minimize.local_search_minimize alone.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import importlib.resources
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import jsonschema
 
 from .asymptotics import (
+    _DEFAULT_STRATEGY,
     empirical_cell_measure,
     g_curve,
     gap_certificate,
@@ -86,23 +89,13 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
 
-# the strategy of each experiment that takes one, when neither its flags nor
-# its config name one (geometric-limit always runs local search)
-_DEFAULT_STRATEGY = {"minimize": "local-search", "g-curve": "lift-seeded",
-                     "weakstar": "lift-seeded", "monotonicity": "exhaustive"}
-
-
 def _search_options(params: dict, experiment: str = None) -> SearchOptions:
-    return SearchOptions(
-        depth=params.get("depth"),
-        max_depth=params.get("max_depth"),
-        restarts=params.get("restarts", 3),
-        moves_budget=params.get("moves_budget", 10_000),
-        seed=params.get("seed", 0),
-        strategy=params.get("strategy",
-                            _DEFAULT_STRATEGY.get(experiment, "local-search")),
-        subset_budget=params.get("subset_budget", DEFAULT_SUBSET_BUDGET),
-    )
+    """The params that name a SearchOptions field; the rest keep its defaults,
+    the strategy the experiment's (_DEFAULT_STRATEGY) if it has one."""
+    given = {f.name: params[f.name] for f in fields(SearchOptions) if f.name in params}
+    if experiment in _DEFAULT_STRATEGY:
+        given.setdefault("strategy", _DEFAULT_STRATEGY[experiment])
+    return SearchOptions(**given)
 
 
 def _write_summary(out_dir: str, name: str, summary: dict):
@@ -394,7 +387,7 @@ def _experiment(sub, name: str, help_text: str, experiment: str = None):
     p.add_argument("--fractal", required=True,
                    help="catalog name like 'cantor(1/3)' or a fractal JSON path")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    p.add_argument("--seed", type=int, help="seed for all randomness")
     p.set_defaults(func=_dispatch, experiment=experiment or name)
     return p
 
@@ -403,7 +396,7 @@ def _add_search(p, strategy: bool = True):
     """Search flags; strategy=False leaves out --strategy (local search only)."""
     p.add_argument("--depth", type=int, default=None, help="initial cell depth")
     p.add_argument("--max-depth", type=int, default=None, help="refinement cap")
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--restarts", type=int)
     p.add_argument("--budget", type=int, default=None,
                    help="subset budget (exhaustive) or move budget (otherwise)")
     if strategy:
@@ -437,15 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _experiment(sub, "geometric-limit", "normalized energies along N = n0*M^k")
     p.add_argument("--s", required=True, type=parse_number)
-    p.add_argument("--n0", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--n0", type=int)
+    p.add_argument("--k-max", type=int)
     p.add_argument("--no-polish", dest="polish", action="store_false",
                    help="report raw iterated lifts without per-stage search")
     _add_search(p, strategy=False)
 
     p = _experiment(sub, "g-curve", "normalized energy vs fractional log_M N")
     p.add_argument("--s", required=True, type=parse_number)
-    p.add_argument("--bins", type=int, default=16)
+    p.add_argument("--bins", type=int)
     p.add_argument("--n-min", required=True, type=int)
     p.add_argument("--n-max", required=True, type=int)
     _add_search(p)
@@ -457,12 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "cell counts of a minimizer vs the self-similar measure")
     p.add_argument("--s", required=True, type=parse_number)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--measure-depth", type=int, default=2)
+    p.add_argument("--measure-depth", type=int)
     _add_search(p)
 
     p = _experiment(sub, "monotonicity", "minimized energies over consecutive N")
     p.add_argument("--s", required=True, type=parse_number)
-    p.add_argument("--n-min", type=int, default=2)
+    p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", required=True, type=int)
     _add_search(p)
 

@@ -108,10 +108,11 @@ class SearchOptions:
 
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
-    """A minimizer's points, the cell word of each point and their energy.
+    """A minimizer's points, their cell words and their energy.
 
-    config, the points with one CellAddress per word, is built on its first
-    read and kept, so a caller that never reads it builds no address.
+    The points are `lifts` lifts of a base with cell words `words` (a
+    search has 0 lifts).  config, the points with one CellAddress per
+    decoded word (_row_label), is built on its first read and kept.
     """
 
     points: np.ndarray
@@ -121,10 +122,15 @@ class MinimizeResult:
     strategy: str
     certified: bool
     iterations: int
+    lifts: int = 0
 
     @cached_property
     def config(self) -> Configuration:
-        return Configuration(self.points, addresses=tuple(CellAddress(w) for w in self.words),
+        words, n = self.words, self.points.shape[0]
+        if self.lifts:
+            M = round((n // len(words)) ** (1.0 / self.lifts))  # n = len(words) * M**lifts
+            words = (_row_label(row, M, self.lifts, self.words) for row in range(n))
+        return Configuration(self.points, addresses=tuple(CellAddress(w) for w in words),
                              fractal_label=self.fractal_label)
 
 
@@ -149,13 +155,13 @@ class _State:
 class _Mesh:
     """Lazily built symbolic levels and cached cell blocks, coordinates only.
 
-    Level rows are ordered word-major, base-minor, so row q*M**2 + (m-1)*M +
-    (b-1) of level d is psi_w(f_b) for the fixed point f_b of map b, where
-    the word w is the (q+1)-th word of depth d-1 followed by m; _row_label
-    decodes a row's word.  The block of a word w is
-    apply_word(w, level 1): the same layout with the word w in place of the
-    depth d-1 prefix.  It is built as the first map of w applied to the
-    (cached) block of the rest of w, the float operations of apply_word.  A
+    Level d is the image cloud of d lifts of the M fixed points, so row
+    q*M + (b-1) is psi_w(f_b) for the fixed point f_b of map b and the
+    (q+1)-th word w of depth d; _row_label(row, M, d) decodes w.  The block
+    of a word w is apply_word(w, level 1), whose row words are w followed by
+    one letter (_row_label(row, M, 1, prefix=w)).  It is built as the first
+    map of w applied to the (cached) block of the rest of w, the float
+    operations of apply_word.  A
     point's sibling candidates are its parent's block and its child
     candidates its own.  Blocks are cached by word.  Restarts run in
     order, so one mesh serves them all.
@@ -181,19 +187,24 @@ class _Mesh:
         return coords
 
 
-def _row_label(prefix, tail_len: int, row: int, M: int) -> tuple:
-    """Cell word of `row` in a block laid out as described on _Mesh.
+def _row_label(row: int, M: int, lifts: int, base_words=None, prefix=()) -> tuple:
+    """Cell word of `row` of `lifts` lifts of a base of n rows (_image_cloud).
 
-    tail_len is the number of letters between prefix and the last letter:
-    depth - 1 for a whole level (prefix ()), 0 for a cell block.  The base
-    b of the row is not part of the word: psi_w(f_b) lies in the cell w.
+    Row q*n + b is psi_v(x_b) for the (q+1)-th word v of length lifts, so
+    its word is prefix + v + base_words[b].  base_words None is the mesh's
+    base, the M fixed points, which add no letter: psi_v(f_b) lies in the cell v.
     """
-    q, rem = divmod(row, M * M)
-    tail = []
-    for _ in range(tail_len):
+    if base_words is None:
+        q, base = row // M, ()
+    else:
+        q, b = divmod(row, len(base_words))
+        base = base_words[b]
+    letters = []
+    for _ in range(lifts):
         q, r = divmod(q, M)
-        tail.append(r + 1)
-    return prefix + tuple(reversed(tail)) + (rem // M + 1,)
+        letters.append(r + 1)
+    letters.reverse()
+    return prefix + tuple(letters) + base
 
 
 def _auto_depth(M: int, N: int) -> int:
@@ -395,7 +406,7 @@ def _screen_batch(pts: np.ndarray, s: float, i0: int, cells_of: list):
 def _offer(mesh: _Mesh, word: tuple, M: int, max_depth: int):
     """(blocks, level, cells) of a point with this word; see _sweep.
 
-    blocks holds (coords, prefix, tail_len) per candidate block, in offer
+    blocks holds (coords, prefix, lifts) per candidate block, in offer
     order; level says whether the first block is the whole level, and cells
     lists the coordinates of the other blocks.
     """
@@ -403,11 +414,11 @@ def _offer(mesh: _Mesh, word: tuple, M: int, max_depth: int):
     level = depth >= 1 and M ** depth <= LEVEL_MOVE_CAP
     blocks = []
     if level:
-        blocks.append((mesh.level(depth), (), depth - 1))
+        blocks.append((mesh.level(depth), (), depth))
     elif depth >= 1:
-        blocks.append((mesh.block(word[:-1]), word[:-1], 0))
+        blocks.append((mesh.block(word[:-1]), word[:-1], 1))
     if depth < max_depth:
-        blocks.append((mesh.block(word), word, 0))
+        blocks.append((mesh.block(word), word, 1))
     return blocks, level, [c for c, _, _ in (blocks[1:] if level else blocks)]
 
 
@@ -490,11 +501,11 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
             values = np.concatenate([level_values, values])
         j = int(np.argmin(values))
         if values[j] < threshold:
-            for coords, prefix, tail_len in blocks:
+            for coords, prefix, lifts in blocks:
                 if j < coords.shape[0]:
                     break
                 j -= coords.shape[0]
-            state.words[i] = _row_label(prefix, tail_len, j, M)
+            state.words[i] = _row_label(j, M, lifts, prefix=prefix)
             pts[i] = coords[j]
             for d, G in kernels.items():
                 column = _point_kernel(pts[i : i + 1], mesh.level(d), s)[0]
@@ -525,22 +536,21 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
     return state, riesz_energy(state.pts, s), total
 
 
-def _state_result(fractal, s, state: _State, strategy, certified, iterations,
-                  energy: float = None) -> MinimizeResult:
-    """The state as a result; its energy is evaluated unless already known.
+def _result(fractal, s, pts: np.ndarray, words, strategy, certified, iterations,
+            energy: float = None, lifts: int = 0) -> MinimizeResult:
+    """The points as a result; their energy is evaluated unless already known.
 
-    The result takes the state's points and words.  Nothing moves those
-    points afterwards (a lift builds new ones), so they are frozen, not
-    copied.
+    words are the points' cell words, or the base words of a cloud lifted
+    `lifts` times.  Nothing moves the points afterwards (a lift builds new
+    ones), so they are frozen, not copied.
     """
-    pts = state.pts
     pts.setflags(write=False)
     if energy is None:
         record = EnergyRecord.from_config(pts, s, fractal.dimension)
     else:
         record = EnergyRecord.from_energy(energy, pts.shape[0], s, fractal.dimension)
-    return MinimizeResult(pts, tuple(state.words), fractal.label, record, strategy,
-                          certified, iterations)
+    return MinimizeResult(pts, tuple(words), fractal.label, record, strategy,
+                          certified, iterations, lifts)
 
 
 def _first_best(K: int, N: int, score):
@@ -576,7 +586,7 @@ def _subset_mesh(fractal: Fractal, N: int, depth: int, base_only: bool):
     K = coords.shape[0]
     if K < N:
         raise DomainError(f"only {K} candidates at depth {depth} for N={N}")
-    return coords, lambda rows: [_row_label((), depth - 1, i * stride, M) for i in rows]
+    return coords, lambda rows: [_row_label(i * stride, M, depth) for i in rows]
 
 
 def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
@@ -604,8 +614,7 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
         coords.shape[0], N, lambda sub: float(kernel[np.ix_(sub, sub)].sum()))
     if best is None:
         raise SingularConfigurationError("every candidate subset contains coincident points")
-    state = _State(words(best), coords[list(best)])
-    return _state_result(fractal, s, state, "exhaustive", True, count)
+    return _result(fractal, s, coords[list(best)], words(best), "exhaustive", True, count)
 
 
 def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions):
@@ -635,7 +644,7 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
         starts.append([int(i) for i in idx])
 
     def run(indices):
-        st = _State([_row_label((), depth - 1, i, M) for i in indices], coords[list(indices)])
+        st = _State([_row_label(i, M, depth) for i in indices], coords[list(indices)])
         return _run_search(fractal, s, st, opts, max_depth, mesh)
 
     outcomes = [run(st) for st in starts]
@@ -665,7 +674,7 @@ def local_search_minimize(fractal: Fractal, N: int, s: float,
     if opts.strategy == "lift-seeded":
         return _lift_seeded(fractal, N, s, opts)
     state, energy, moves = _local_search_state(fractal, N, s, opts)
-    return _state_result(fractal, s, state, "local-search", False, moves, energy)
+    return _result(fractal, s, state.pts, state.words, "local-search", False, moves, energy)
 
 
 def _lift_seeded(fractal: Fractal, N: int, s: float, opts: SearchOptions) -> MinimizeResult:
@@ -675,9 +684,7 @@ def _lift_seeded(fractal: Fractal, N: int, s: float, opts: SearchOptions) -> Min
         n0 //= M
         k += 1
     if k == 0:
-        state, energy, moves = _local_search_state(fractal, N, s,
-                                                   replace(opts, strategy="local-search"))
-        return _state_result(fractal, s, state, "local-search", False, moves, energy)
+        return local_search_minimize(fractal, N, s, replace(opts, strategy="local-search"))
     return lift_chain(fractal, s, n0, k, opts=opts, polish=True)[-1]
 
 
@@ -688,16 +695,13 @@ def lift(fractal: Fractal, config: Configuration, s: float = None) -> Configurat
     against M**(1+s/d) * E + sigma**(-s) * N**2 * M**2.
     """
     M = len(fractal.maps)
-    pts = np.concatenate([m.apply(config.points) for m in fractal.maps], axis=0)
+    pts = _image_cloud(fractal, config.points, 1, math.inf)
     if np.unique(pts, axis=0).shape[0] < pts.shape[0]:
         raise SingularConfigurationError("lift produced coincident points (maps overlap)")
     addrs = None
     if config.addresses is not None:
-        addrs = tuple(
-            CellAddress((m,) + a.word)
-            for m in range(1, M + 1)
-            for a in config.addresses
-        )
+        words = [a.word for a in config.addresses]
+        addrs = tuple(CellAddress(_row_label(row, M, 1, words)) for row in range(pts.shape[0]))
     out = Configuration(pts, addresses=addrs, fractal_label=config.fractal_label)
     if s is not None and M >= 2 and fractal.equal_ratios and fractal.sigma > 0.0:
         energy = riesz_energy(config, s)
@@ -723,11 +727,6 @@ def _check_lift_bound(fractal: Fractal, s: float, n: int, energy: float, lifted:
             f"lift energy bound violated at N={M * n}: {lifted!r} > {bound!r}; "
             "this indicates inconsistent fractal geometry data"
         )
-
-
-def _lift_state(fractal: Fractal, state: _State) -> _State:
-    pts = np.concatenate([m.apply(state.pts) for m in fractal.maps], axis=0)
-    return _State([(m,) + w for m in range(1, len(fractal.maps) + 1) for w in state.words], pts)
 
 
 def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
@@ -756,9 +755,11 @@ def _lift_stages(fractal: Fractal, s: float, n0: int, k: int,
     translation-difference clouds of stage 0 (_shared_lift_cross), otherwise
     from one _lift_cross pass over the images.  With equal ratios the lift
     bound is checked on the recursive energy, polished or not.  A stage's
-    word for point m * n_prev + i is (m,) + the word of point i before.  The
-    distance is nan for a one-point stage; the cross term is None for stage
-    0 and for polished stages.  No stage's config is read here.
+    points are the image cloud of the previous stage's, so a raw stage j
+    keeps stage 0's words and j lifts; a polished stage decodes the words
+    it searches on.  The distance is nan for a one-point stage; the cross
+    term is None for stage 0 and for polished stages.  No stage's config is
+    read here.
     """
     opts = opts if opts is not None else SearchOptions()
     M = len(fractal.maps)
@@ -771,43 +772,48 @@ def _lift_stages(fractal: Fractal, s: float, n0: int, k: int,
     if k < 0:
         raise DomainError("k must be nonnegative")
     if n0 == 1:
-        state = _State([()], fractal.base_anchor()[None, :])
+        words, pts = [()], fractal.base_anchor()[None, :]
         energy, moves = 0.0, 0
     else:
         state, energy, moves = _local_search_state(
             fractal, n0, s, replace(opts, strategy="local-search"))
-    results = [_state_result(fractal, s, state, "lift-seeded", False, moves, energy)]
-    sep2 = _min_sq_distance(state.pts)
+        words, pts = state.words, state.pts
+    results = [_result(fractal, s, pts, words, "lift-seeded", False, moves, energy)]
+    sep2 = _min_sq_distance(pts)
     separations = [math.sqrt(sep2) if n0 >= 2 else math.nan]
     crosses = [None]
     mesh = _Mesh(fractal)
     r2 = min(fractal.ratios) ** 2
-    base = state.pts
+    base = pts
     linear = None if polish else fractal.shared_linear_part
     translations = np.stack([m.translation for m in fractal.maps])
     for j in range(1, k + 1):
         prev_energy = results[-1].record.energy
-        n_prev = len(state.words)
-        state = _lift_state(fractal, state)
+        n_prev = pts.shape[0]
+        # stage sizes are set by n0 and k, not by the cloud budget
+        pts = _image_cloud(fractal, pts, 1, math.inf)
         if linear is not None:
             cross, cross_sep2 = _shared_lift_cross(base, linear, translations, j, s)
         elif fractal.equal_ratios or not polish:
-            cross, cross_sep2 = _lift_cross(np.split(state.pts, M), s)
+            cross, cross_sep2 = _lift_cross(np.split(pts, M), s)
         if fractal.equal_ratios or not polish:
             energy = _lifted_energy(fractal, s, prev_energy, cross)
         if fractal.equal_ratios:
             _check_lift_bound(fractal, s, n_prev, prev_energy, energy)
         if polish:
+            state = _State([_row_label(row, M, 1, words) for row in range(M * n_prev)], pts)
             max_depth = max(len(w) for w in state.words) + 8
             state, energy, moves = _run_search(fractal, s, state, opts, max_depth, mesh)
-            sep2 = _min_sq_distance(state.pts)
+            words, pts, lifts = state.words, state.pts, 0
+            sep2 = _min_sq_distance(pts)
             crosses.append(None)
         else:
-            moves = 0
+            moves, lifts = 0, j
             sep2 = min(r2 * sep2, cross_sep2)
             crosses.append(cross)
         separations.append(math.sqrt(sep2))
-        results.append(_state_result(fractal, s, state, "lift-seeded", False, moves, energy))
+        results.append(_result(fractal, s, pts, words, "lift-seeded", False, moves, energy,
+                               lifts))
     return results, separations, crosses
 
 

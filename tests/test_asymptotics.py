@@ -444,6 +444,8 @@ def test_scaling_fit_validation():
 def test_separation_samples(cantor13):
     chain = rf.lift_chain(cantor13, 3.0, n0=1, k=3, polish=False)
     samples = rf.separation_samples(chain)
+    # only the points are read: no stage built its config
+    assert all("config" not in vars(stage) for stage in chain)
     # the 1-point stage is skipped; later stages shrink by the map ratio
     assert [n for n, _ in samples] == [2, 4, 8]
     dists = [dval for _, dval in samples]

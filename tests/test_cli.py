@@ -245,7 +245,11 @@ def test_run_rejects_unknown_experiment(tmp_path, capsys):
     assert _last_json(capsys)["error"]["type"] == "UsageError"
 
 
-def test_strategy_and_experiment_names_agree():
+class _Searched(Exception):
+    pass
+
+
+def test_strategy_and_experiment_names_agree(monkeypatch, cantor13):
     from rieszfrac.cli import _RUNNERS, _load_schema, build_parser
     from rieszfrac.minimize import _STRATEGIES
 
@@ -254,12 +258,31 @@ def test_strategy_and_experiment_names_agree():
     assert props["experiment"]["enum"] == list(_RUNNERS)
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
     experiments = set()
+    cli_default = {}
     for name, p in subparsers.choices.items():
         for action in p._actions:
             if action.dest == "strategy":
                 assert tuple(action.choices) == _STRATEGIES, name
+                cli_default[p.get_default("experiment")] = p.get_default("strategy")
         experiments.add(p.get_default("experiment"))
     assert experiments - {None} == set(_RUNNERS)
+
+    # the strategy each library entry searches with when given no options
+    def first_search(fractal, N, s, opts=None):
+        raise _Searched((opts or rf.SearchOptions()).strategy)
+
+    monkeypatch.setattr(rf.asymptotics, "local_search_minimize", first_search)
+    library_default = {"minimize": rf.SearchOptions().strategy}
+    for experiment, call in [("g-curve", lambda: rf.g_curve(cantor13, 3.0, 4, 2, 8)),
+                             ("monotonicity",
+                              lambda: rf.monotonicity_check(cantor13, 3.0, range(2, 4)))]:
+        with pytest.raises(_Searched) as searched:
+            call()
+        library_default[experiment] = searched.value.args[0]
+    # weakstar has no search entry of its own in the library
+    assert set(cli_default) == set(library_default) | {"weakstar"}
+    for experiment, strategy in library_default.items():
+        assert cli_default[experiment] == strategy, experiment
 
 
 def test_run_rejects_extra_keys():

@@ -160,3 +160,18 @@ def test_geometric_limit_reaches_65536_points_within_the_tail_bound(monkeypatch,
         assert 0.0 < rep.deltas[j] <= rep.tail_bounds[j]
     assert len(peaks) == 15
     assert max(peaks) < 16 * 2 ** 20
+
+
+def test_raw_chain_keeps_its_points_and_stage_0_words_only():
+    # a raw stage is stage 0 lifted j times: it holds its points, stage 0's
+    # words and the lift count, and decodes its words only when config is read
+    tracemalloc.start()
+    try:
+        rep = rf.geometric_limit(rf.cantor("1/3"), 3.0, n0=2, k_max=15, polish=False)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the points of all 16 stages take 2 * 65,536 * 8 B = 1 MiB
+    assert current < 4 * 2 ** 20
+    assert [len(st.words) for st in rep.stages] == [2] * 16
+    assert [st.lifts for st in rep.stages] == list(range(16))

@@ -110,7 +110,7 @@ def _rotating_ifs():
 
 @pytest.mark.parametrize("name", ["cantor", "dust", "two-scale", "rotating"])
 def test_mesh_base_rows_are_the_anchor_cloud(name, cantor13, mixed_fractal):
-    from rieszfrac.minimize import _Mesh, _row_label
+    from rieszfrac.minimize import _Mesh, _row_label, _subset_mesh
 
     fractal = {"cantor": cantor13, "dust": rf.cantor_dust_2d(0.25),
                "two-scale": mixed_fractal, "rotating": _rotating_ifs()}[name]
@@ -121,9 +121,22 @@ def test_mesh_base_rows_are_the_anchor_cloud(name, cantor13, mixed_fractal):
         anchors = rf.anchor_cloud(fractal, depth)
         assert coords[::M].tobytes() == anchors.tobytes()
         # row q * M + b - 1 is the point with base b in the q-th cell
-        words = [_row_label((), depth - 1, row, M) for row in range(coords.shape[0])]
-        assert words == [w for w in itertools.product(range(1, M + 1), repeat=depth)
-                         for _ in range(M)]
+        cells = list(itertools.product(range(1, M + 1), repeat=depth))
+        words = [_row_label(row, M, depth) for row in range(coords.shape[0])]
+        assert words == [w for w in cells for _ in range(M)]
+        # the block of a word w is apply_word(w, level 1), its rows in the
+        # cells w + (m,)
+        for w in cells[:: max(1, len(cells) // 5)]:
+            block = mesh.block(w)
+            assert block.tobytes() == fractal.apply_word(w, mesh.level(1)).tobytes()
+            words = [_row_label(row, M, 1, prefix=w) for row in range(block.shape[0])]
+            assert words == [w + (m,) for m in range(1, M + 1) for _ in range(M)]
+        if M ** depth <= 256:
+            rows = range(M ** depth)
+            _, decode = _subset_mesh(fractal, 2, depth, base_only=True)
+            assert decode(rows) == cells
+            _, decode = _subset_mesh(fractal, 2, depth, base_only=False)
+            assert decode(range(M ** (depth + 1))) == [w for w in cells for _ in range(M)]
     res = rf.exhaustive_minimize(fractal, 3, 2.0, depth=2)
     anchors = rf.anchor_cloud(fractal, 2)
     for point, address in zip(res.config.points, res.config.addresses):
@@ -246,7 +259,7 @@ def test_level_kernels_match_fresh_sums_bitwise(cantor13):
     coords = mesh.level(depth)
     M = len(cantor13.maps)
     idx = np.sort(np.random.default_rng(5).choice(coords.shape[0], size=N, replace=False))
-    state = _State([_row_label((), depth - 1, i, M) for i in idx], coords[idx])
+    state = _State([_row_label(i, M, depth) for i in idx], coords[idx])
     kernels = {}
     accepted = []
     while not accepted or accepted[-1] > 0:
@@ -348,14 +361,16 @@ def test_lift_chain_singleton_start(cantor13):
     assert chain[0].record.energy == 0.0
 
 
-@pytest.mark.parametrize("case", ["cantor", "dust", "two-scale"])
+@pytest.mark.parametrize("case", ["cantor", "dust", "two-scale", "rotating", "cantor-n0-1"])
 def test_raw_stage_addresses_are_the_lifted_addresses(case, cantor13, mixed_fractal):
     # cantor and the dust take the translation-difference route, the
-    # two-scale fixture the direct _lift_cross pass
+    # two-scale fixture and the rotating IFS the direct _lift_cross pass
     fractal, s, n0, k = {
         "cantor": (cantor13, 3.0, 2, 5),
         "dust": (rf.cantor_dust_2d("1/4"), 4.0, 4, 3),
         "two-scale": (mixed_fractal, 3.0, 2, 5),
+        "rotating": (_rotating_ifs(), 3.0, 2, 4),
+        "cantor-n0-1": (cantor13, 3.0, 1, 5),
     }[case]
     stages = rf.lift_chain(fractal, s, n0, k, opts=rf.SearchOptions(seed=0, restarts=1),
                            polish=False)

@@ -58,14 +58,14 @@ def _reference_sweep(fractal, s, state, max_depth, mesh, kernels, budget_left) -
         word = state.words[i]
         depth = len(word)
         level = depth >= 1 and M ** depth <= LEVEL_MOVE_CAP
-        # (coords, prefix, tail_len) per candidate block, in offer order
+        # (coords, prefix, lifts) per candidate block, in offer order
         blocks = []
         if level:
-            blocks.append((mesh.level(depth), (), depth - 1))
+            blocks.append((mesh.level(depth), (), depth))
         elif depth >= 1:
-            blocks.append((mesh.block(word[:-1]), word[:-1], 0))
+            blocks.append((mesh.block(word[:-1]), word[:-1], 1))
         if depth < max_depth:
-            blocks.append((mesh.block(word), word, 0))
+            blocks.append((mesh.block(word), word, 1))
         if not blocks:
             continue
         cells = [pts[i][None, :]] + [c for c, _, _ in (blocks[1:] if level else blocks)]
@@ -79,11 +79,11 @@ def _reference_sweep(fractal, s, state, max_depth, mesh, kernels, budget_left) -
             values = np.concatenate([_reference_level_values(G, i), values])
         j = int(np.argmin(values))
         if values[j] < current - 1e-12 * (1.0 + abs(current)):
-            for coords, prefix, tail_len in blocks:
+            for coords, prefix, lifts in blocks:
                 if j < coords.shape[0]:
                     break
                 j -= coords.shape[0]
-            state.words[i] = _row_label(prefix, tail_len, j, M)
+            state.words[i] = _row_label(j, M, lifts, prefix=prefix)
             pts[i] = coords[j]
             for d, G in kernels.items():
                 G[:, i] = _point_kernel(pts[i : i + 1], mesh.level(d), s)[0]
