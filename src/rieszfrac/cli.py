@@ -4,7 +4,7 @@ Every run is a pure function of its flags (or config document): numeric CSV
 columns are printed at 17 significant digits, summaries are sorted JSON, and
 no timestamps or environment details are written, so reruns are
 byte-identical.  Multi-start searches run their restarts in order in one
-thread; RIESZ_THREADS is no longer read.
+thread.
 
 Every experiment subcommand goes through _dispatch: its flags' dests are
 the param names of a config document, and the runner comes from _RUNNERS as
@@ -73,8 +73,11 @@ class ExperimentConfig:
     def from_dict(cls, doc) -> "ExperimentConfig":
         try:
             jsonschema.Draft7Validator(_load_schema()).validate(doc)
+            json.dumps(doc, allow_nan=False)
         except jsonschema.ValidationError as exc:
             raise UsageError(f"experiment config rejected: {exc.message}") from exc
+        except ValueError as exc:  # json.dumps: a NaN or an infinity
+            raise UsageError("experiment config rejected: it holds NaN or Infinity") from exc
         return cls(doc)
 
     @classmethod
@@ -387,13 +390,13 @@ def _experiment(sub, name: str, help_text: str, experiment: str = None):
     p.add_argument("--fractal", required=True,
                    help="catalog name like 'cantor(1/3)' or a fractal JSON path")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, help="seed for all randomness")
     p.set_defaults(func=_dispatch, experiment=experiment or name)
     return p
 
 
 def _add_search(p, strategy: bool = True):
     """Search flags; strategy=False leaves out --strategy (local search only)."""
+    p.add_argument("--seed", type=int, help="seed for all randomness")
     p.add_argument("--depth", type=int, default=None, help="initial cell depth")
     p.add_argument("--max-depth", type=int, default=None, help="refinement cap")
     p.add_argument("--restarts", type=int)

@@ -21,6 +21,7 @@ from .errors import DomainError, SingularConfigurationError
 from .fractal import (
     PAIR_BLOCK,
     Fractal,
+    _pair_blocks,
     _row_blocks,
     _sq_dists,
     anchor_cloud,
@@ -69,14 +70,14 @@ class Configuration:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def validate_cells(self, fractal: Fractal, slack: float = 1e-9) -> bool:
-        """Check each point lies within its named cell's diameter of the anchor."""
+    def validate_cells(self, fractal: Fractal) -> bool:
+        """Check each point lies within its cell's diameter (+1e-9 rel. and abs.) of the anchor."""
         if self.addresses is None:
             raise DomainError("configuration carries no addresses")
         for pt, addr in zip(self.points, self.addresses):
             anchor = cell_anchor(fractal, addr)
             bound = cell_diameter(fractal, addr)
-            if np.linalg.norm(pt - anchor) > bound * (1.0 + slack) + slack:
+            if np.linalg.norm(pt - anchor) > bound * (1.0 + 1e-9) + 1e-9:
                 return False
         return True
 
@@ -90,15 +91,18 @@ def _as_points(config) -> np.ndarray:
     return pts
 
 
-def _kernel_sum(blocks, s: float, singular: str) -> float:
-    """Sum of d2**(-s/2) over the blocks; a zero distance raises `singular`."""
+def _kernel_sum(blocks, s: float, singular: str):
+    """(sum of d2**(-s/2), least d2) over the blocks, summed block by block
+    in order; a zero distance raises `singular`."""
     total = 0.0
+    least = math.inf
     for d2 in blocks:
-        if not d2.all():
+        least = min(least, float(d2.min(initial=math.inf)))
+        if least == 0.0:
             raise SingularConfigurationError(singular)
         with np.errstate(over="ignore"):
             total += float(np.sum(np.power(d2, -0.5 * s, out=d2)))
-    return total
+    return total, least
 
 
 def riesz_energy(config, s: float) -> float:
@@ -110,7 +114,7 @@ def riesz_energy(config, s: float) -> float:
     if s <= 0.0:
         raise DomainError(f"exponent s must be positive, got {s}")
     blocks = _row_blocks(_as_points(config))
-    return 2.0 * _kernel_sum(blocks, s, "configuration contains coincident points")
+    return 2.0 * _kernel_sum(blocks, s, "configuration contains coincident points")[0]
 
 
 def normalized_energy(energy: float, n: int, s: float, d: float) -> float:
@@ -150,7 +154,7 @@ def cross_energy(part1, part2, s: float) -> float:
     if s <= 0.0:
         raise DomainError(f"exponent s must be positive, got {s}")
     blocks = _row_blocks(_as_points(part1), _as_points(part2))
-    return 2.0 * _kernel_sum(blocks, s, "parts share a point")
+    return 2.0 * _kernel_sum(blocks, s, "parts share a point")[0]
 
 
 def _lift_cross(parts, s: float):
@@ -160,16 +164,7 @@ def _lift_cross(parts, s: float):
     ordered-pair interaction of distinct parts (both directions) and the
     least squared distance between them; parts that share a point raise.
     """
-    total = 0.0
-    least = math.inf
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            for d2 in _row_blocks(parts[a], parts[b]):
-                least = min(least, float(d2.min()))
-                if least == 0.0:
-                    raise SingularConfigurationError("images of the lift share a point")
-                with np.errstate(over="ignore"):
-                    total += float(np.sum(np.power(d2, -0.5 * s, out=d2)))
+    total, least = _kernel_sum(_pair_blocks(parts), s, "images of the lift share a point")
     return 2.0 * total, least
 
 

@@ -9,6 +9,7 @@ certified bounds so that downstream energy estimates stay on the safe side.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -218,8 +219,14 @@ class Fractal:
         return out
 
 
-def make_fractal(maps, label="", diameter=None, sigma=None, derive_depth=6) -> Fractal:
-    """Assemble a Fractal, deriving dimension and any undeclared bounds."""
+def make_fractal(maps, label="", diameter=None, sigma=None) -> Fractal:
+    """Assemble a Fractal, deriving dimension and any undeclared bounds.
+
+    Bounds are derived at depth 6, or at the deepest depth whose M**depth
+    anchors fit DEFAULT_SCAN_BUDGET when that is shallower (5 for M = 5, 4
+    for M = 9).  The diameter goes deeper while r_max**depth >= 1/2 and the
+    next depth fits the budget, so that the anchors certify a cover.
+    """
     maps = tuple(maps)
     if not maps:
         raise DomainError("need at least one similitude")
@@ -235,6 +242,7 @@ def make_fractal(maps, label="", diameter=None, sigma=None, derive_depth=6) -> F
             DegenerateFractalWarning,
             stacklevel=2,
         )
+    depth = next((d for d in range(6, 1, -1) if len(maps) ** d <= DEFAULT_SCAN_BUDGET), 1)
     frame = Fractal(
         ambient_dim=p,
         maps=maps,
@@ -249,7 +257,10 @@ def make_fractal(maps, label="", diameter=None, sigma=None, derive_depth=6) -> F
         else:
             # store the certified cover, not the raw anchor spread, so cell
             # diameters computed from it stay upper bounds
-            _, diameter = estimate_diameter(frame, depth=_cover_depth(frame, derive_depth))
+            cover = depth
+            while frame.r_max ** cover >= 0.5 and len(maps) ** (cover + 1) <= DEFAULT_SCAN_BUDGET:
+                cover += 1
+            _, diameter = estimate_diameter(frame, depth=cover)
             if not math.isfinite(diameter):
                 raise ResourceBudgetError(
                     "could not certify a finite diameter at the derivation depth; "
@@ -269,7 +280,7 @@ def make_fractal(maps, label="", diameter=None, sigma=None, derive_depth=6) -> F
                 stacklevel=2,
             )
         else:
-            sigma = separation_sigma(frame, depth=derive_depth)
+            sigma = separation_sigma(frame, depth=depth)
     else:
         sigma = float(sigma)
         if sigma < 0.0:
@@ -285,30 +296,18 @@ def make_fractal(maps, label="", diameter=None, sigma=None, derive_depth=6) -> F
     return frame
 
 
-def _cover_depth(fractal, depth):
-    """Smallest depth >= `depth` whose cells are small enough to certify a cover."""
-    M = len(fractal.maps)
-    while fractal.r_max ** depth >= 0.5 and M ** depth <= DEFAULT_SCAN_BUDGET:
-        depth += 1
-    return depth
-
-
-def cell_anchor(fractal: Fractal, address: CellAddress, refine_depth: int = 0) -> np.ndarray:
+def cell_anchor(fractal: Fractal, address: CellAddress) -> np.ndarray:
     """Representative point psi_{m_1} o ... o psi_{m_l}(b) of a cell.
 
-    The base anchor b is the fixed point of the first map, so appending
-    copies of index 1 (refine_depth) never moves an exact anchor; it only
-    contracts numerical error in b.  The returned point lies within
-    cell_diameter(address) of every point of the cell.
+    The base anchor b is the fixed point of the first map, which lies in
+    the attractor, so the returned point lies within cell_diameter(address)
+    of every point of the cell.
     """
-    if refine_depth < 0:
-        raise DomainError("refine_depth must be nonnegative")
     M = len(fractal.maps)
     for m in address.word:
         if not 1 <= m <= M:
             raise DomainError(f"address index {m} outside 1..{M}")
-    word = address.word + (1,) * refine_depth
-    return fractal.apply_word(word, fractal.base_anchor())
+    return fractal.apply_word(address.word, fractal.base_anchor())
 
 
 def cell_diameter(fractal: Fractal, address: CellAddress) -> float:
@@ -372,7 +371,13 @@ def _row_blocks(a: np.ndarray, b: np.ndarray = None):
             yield d2
 
 
-def estimate_diameter(fractal: Fractal, depth: int, budget: int = DEFAULT_SCAN_BUDGET):
+def _pair_blocks(parts):
+    """The _row_blocks of every pair of parts a < b, pairs in order."""
+    for a, b in itertools.combinations(parts, 2):
+        yield from _row_blocks(a, b)
+
+
+def estimate_diameter(fractal: Fractal, depth: int):
     """(estimate, upper_bound) for the attractor diameter from depth-l anchors.
 
     estimate is the max pairwise anchor distance (a lower bound); the upper
@@ -381,7 +386,7 @@ def estimate_diameter(fractal: Fractal, depth: int, budget: int = DEFAULT_SCAN_B
     """
     if depth < 1:
         raise DomainError("depth must be at least 1")
-    pts = anchor_cloud(fractal, depth, budget=budget)
+    pts = anchor_cloud(fractal, depth, budget=DEFAULT_SCAN_BUDGET)
     # full blocks: the inf that the self form puts below the diagonal would win
     estimate = math.sqrt(max(max(float(d2.max()) for d2 in _row_blocks(pts, pts)), 0.0))
     shrink = fractal.r_max ** depth
@@ -390,7 +395,7 @@ def estimate_diameter(fractal: Fractal, depth: int, budget: int = DEFAULT_SCAN_B
     return estimate, estimate / (1.0 - 2.0 * shrink)
 
 
-def separation_sigma(fractal: Fractal, depth: int, budget: int = DEFAULT_SCAN_BUDGET) -> float:
+def separation_sigma(fractal: Fractal, depth: int) -> float:
     """Certified lower bound for the distance between first-level images.
 
     Splits the depth-l anchor cloud by leading letter, takes the least
@@ -402,7 +407,7 @@ def separation_sigma(fractal: Fractal, depth: int, budget: int = DEFAULT_SCAN_BU
         raise DomainError("separation needs at least two maps")
     if depth < 1:
         raise DomainError("depth must be at least 1")
-    cross = first_level_cloud_distance(fractal, depth, budget=budget)
+    cross = first_level_cloud_distance(fractal, depth)
     slack = 2.0 * (fractal.r_max ** depth) * fractal.diameter
     bound = cross - slack
     if bound <= 0.0:
@@ -416,19 +421,13 @@ def separation_sigma(fractal: Fractal, depth: int, budget: int = DEFAULT_SCAN_BU
     return bound
 
 
-def first_level_cloud_distance(fractal: Fractal, depth: int, budget: int = DEFAULT_SCAN_BUDGET) -> float:
+def first_level_cloud_distance(fractal: Fractal, depth: int) -> float:
     """Least distance between anchor clouds of distinct first-level images."""
     M = len(fractal.maps)
     if M < 2:
         raise DomainError("needs at least two maps")
-    pts = anchor_cloud(fractal, depth, budget=budget)
-    block = M ** (depth - 1)
-    cross = math.inf
-    for i in range(M):
-        for j in range(i + 1, M):
-            a = pts[i * block : (i + 1) * block]
-            b = pts[j * block : (j + 1) * block]
-            cross = min(cross, min(float(d2.min()) for d2 in _row_blocks(a, b)))
+    pts = anchor_cloud(fractal, depth, budget=DEFAULT_SCAN_BUDGET)
+    cross = min(float(d2.min()) for d2 in _pair_blocks(np.split(pts, M)))
     return math.sqrt(max(cross, 0.0))
 
 
@@ -483,14 +482,14 @@ def uniform_line(m, r) -> Fractal:
 
 
 def parse_number(text) -> float:
-    """Parse a decimal or a fraction like 1/3."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    """Parse a decimal or a fraction like 1/3; a value that is not finite
+    (nan, inf, a zero denominator) raises DomainError."""
+    num, slash, den = str(text).partition("/")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = float(np.divide(float(num), float(den) if slash else 1.0))
+    if not math.isfinite(value):
+        raise DomainError(f"not a finite number: {text!r}")
+    return value
 
 
 _CATALOG_RE = re.compile(r"^\s*([a-zA-Z][a-zA-Z0-9\-]*)\s*\(([^()]*)\)\s*$")

@@ -102,6 +102,8 @@ class SearchOptions:
             raise DomainError("moves_budget must be positive")
         if self.subset_budget < 1:
             raise DomainError("subset_budget must be positive")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
         if self.strategy not in _STRATEGIES:
             raise DomainError(f"strategy must be one of {_STRATEGIES}")
 
@@ -448,7 +450,7 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
     their current values, and a block it does not certify is scored
     exactly.  A move ends the batch, since its values describe the old
     point, and the next one waits for _MIN_BATCH points without a move.
-    Elsewhere current and the cells are scored in one call as before.  Both
+    Elsewhere current and the cells are scored in one call.  Both
     bounds carry rounding margins, so accepted moves, energies and every
     artifact are bit-identical to scoring every candidate.
     """
@@ -606,10 +608,8 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
         raise ResourceBudgetError(
             f"{count} subsets exceed the enumeration budget {budget}"
         )
-    d2 = _sq_dists(coords, coords)
-    np.fill_diagonal(d2, np.inf)
-    with np.errstate(divide="ignore", over="ignore"):
-        kernel = d2 ** (-0.5 * s)
+    kernel = _point_kernel(coords, coords, s)
+    np.fill_diagonal(kernel, 0.0)
     best_e, best = _first_best(
         coords.shape[0], N, lambda sub: float(kernel[np.ix_(sub, sub)].sum()))
     if best is None:

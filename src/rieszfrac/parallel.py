@@ -1,9 +1,8 @@
 """Deterministic per-task randomness.
 
-Multi-start searches run their restarts in order, one after another; a
-thread pool bought nothing for these GIL-bound numpy loops, so none is used
-and RIESZ_THREADS is no longer read.  Every restart draws randomness from
-its own spawned generator, a pure function of (seed, index).
+Multi-start searches run their restarts in order, one after another, in
+one thread.  Every restart draws randomness from its own spawned
+generator, a pure function of (seed, index).
 """
 
 from __future__ import annotations

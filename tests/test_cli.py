@@ -117,6 +117,8 @@ def test_pack_budget_is_the_subset_budget(tmp_path, capsys):
     ["pack", "--n", "3", "--strategy", "exhaustive"],
     ["pack", "--n", "3", "--max-depth", "5"],
     ["geometric-limit", "--s", "3", "--strategy", "exhaustive"],
+    ["pack", "--n", "3", "--seed", "1"],
+    ["gap", "--s", "3", "--seed", "1"],
 ])
 def test_unread_flags_are_rejected(argv, tmp_path, capsys):
     assert rf.main(argv + ["--fractal", "cantor(1/3)", "--out", str(tmp_path)]) == 2
@@ -335,10 +337,39 @@ def test_exit_code_budget(tmp_path, capsys):
 
 
 def test_exit_code_domain(tmp_path, capsys):
-    code = rf.main(["minimize", "--fractal", "cantor(1/3)", "--s", "-1",
-                    "--n", "3", "--out", str(tmp_path)])
-    assert code == 5
-    assert _last_json(capsys)["error"]["type"] == "DomainError"
+    for argv in (
+        ["--s", "-1", "--n", "3"],
+        ["--s", "3", "--n", "3", "--seed", "-1"],
+    ):
+        code = rf.main(["minimize", "--fractal", "cantor(1/3)", "--out", str(tmp_path)] + argv)
+        assert code == 5, argv
+        assert _last_json(capsys)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--fractal", "cantor(1/3)", "--s", "nan", "--n", "4"],
+    ["minimize", "--fractal", "cantor(1/3)", "--s", "1/0", "--n", "4"],
+    ["gap", "--fractal", "uniform(2, 0.1)", "--s", "inf"],
+    ["gap", "--fractal", "uniform(2, 0.1)", "--s", "1e999"],
+])
+def test_non_finite_flags_are_usage_errors(argv, tmp_path, capsys):
+    assert rf.main(argv + ["--out", str(tmp_path)]) == 2
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_run_rejects_non_finite_config_numbers(value, tmp_path, capsys):
+    for doc in ('{"fractal": "cantor(1/3)", "experiment": "minimize", "n": 4, "s": %s}',
+                '{"fractal": "uniform(2, 0.1)", "experiment": "gap", "s": %s}',
+                '{"fractal": {"label": "x", "ambient_dim": 1, "diameter": 1.0, "maps": ['
+                '{"ratio": 0.25, "translation": [0.0]}, {"ratio": 0.25, "translation": '
+                '[%s]}]}, "experiment": "gap", "s": 3}'):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc % value)
+        out = tmp_path / "out"
+        assert rf.main(["run", "--config", str(path), "--out", str(out)]) == 2, doc
+        assert _last_json(capsys)["error"]["type"] == "UsageError"
+        assert not out.exists()
 
 
 def test_help_exits_cleanly(capsys):

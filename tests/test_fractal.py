@@ -102,11 +102,14 @@ def test_cell_anchor_examples(cantor13):
     assert abs(deep[0] - 1.0) < 3.0 ** (-10)
 
 
-def test_cell_anchor_refine_depth_is_identity_on_base(cantor13):
-    # base anchor is the fixed point of the first map, so appending 1s moves nothing
-    a = rf.cell_anchor(cantor13, CellAddress((2, 1)), refine_depth=0)
-    b = rf.cell_anchor(cantor13, CellAddress((2, 1)), refine_depth=7)
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999", "1/0", "0/0", "nan/2",
+                                  float("nan"), float("inf")])
+def test_parse_number_rejects_non_finite(text):
+    with pytest.raises(DomainError):
+        rf.parse_number(text)
+    if isinstance(text, str):
+        with pytest.raises(DomainError):
+            rf.from_catalog(f"cantor({text})")
 
 
 def test_cell_anchor_ternary_digit_oracle(cantor13):
@@ -292,6 +295,18 @@ def test_derived_diameter_and_sigma(cantor13):
     assert f.diameter >= 1.0 - 1e-12
     assert f.diameter <= 1.03
     assert 0.30 < f.sigma <= 1.0 / 3.0 + 1e-12
+
+
+@pytest.mark.parametrize("M, r, depth", [(5, 0.15, 5), (9, 0.08, 4)])
+def test_derived_bounds_with_many_maps(M, r, depth):
+    # M**6 anchors exceed DEFAULT_SCAN_BUDGET, so the bounds are derived at
+    # the deepest depth within it
+    doc = {"label": f"line-{M}", "ambient_dim": 1,
+           "maps": [{"ratio": r, "translation": [i * (1.0 - r) / (M - 1)]} for i in range(M)]}
+    f = rf.load_fractal(doc)
+    assert 0.0 < f.sigma <= (1.0 - M * r) / (M - 1)
+    assert f.sigma == rf.separation_sigma(f, depth)
+    assert 1.0 <= f.diameter < 1.01
 
 
 def _rotating_ifs():
