@@ -25,8 +25,8 @@ from .fractal import CellAddress, Fractal, anchor_cloud, cell_diameter
 from .minimize import (
     SearchOptions,
     _auto_depth,
-    _lift_stages,
     _row_label,
+    lift_chain,
     local_search_minimize,
 )
 
@@ -279,8 +279,9 @@ class GeometricLimitReport:
     normalized[j] is the stage-j value (j = 0 is the n0-point stage);
     deltas[j - 1] is the increase from stage j - 1 to stage j (see
     geometric_limit); tail_bounds[j] bounds the total
-    increase achievable by all lifts after stage j; min_distances[j] is the
-    least pair distance of stage j (nan for one point).
+    increase achievable by all lifts after stage j; min_distances[j] is
+    stages[j].min_distance, the least pair distance of stage j (nan for one
+    point).
     """
 
     limit_estimate: float
@@ -314,29 +315,27 @@ def geometric_limit(fractal: Fractal, s: float, n0: int, k_max: int,
     with no roundoff allowance.  When the maps share one linear part the
     cross terms come from translation-difference clouds, O(n0**2 * T**k)
     kernel terms for T distinct translation differences instead of O(N**2)
-    (see minimize._lift_stages).  Polished stages are evaluated directly and
-    their delta is the absolute difference of the normalized values.
+    (see lift_chain).  A raw stage carries its cross term as `cross`.
+    Polished stages are evaluated directly and their delta is the absolute
+    difference of the normalized values.  lift_chain checks the separation
+    and n0.
     """
     _require_equal_ratios(fractal, "geometric limit")
     d = fractal.dimension
     _require_hypersingular(s, d)
-    if fractal.sigma <= 0.0:
-        raise HypothesisError("geometric limit needs a certified positive separation")
-    if n0 < 1:
-        raise DomainError("n0 must be positive")
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    stages, separations, crosses = _lift_stages(fractal, s, n0, k_max, opts, polish)
+    stages = tuple(lift_chain(fractal, s, n0, k_max, opts, polish))
     n_values = tuple(st.record.N for st in stages)
     energies = tuple(st.record.energy for st in stages)
     normalized = tuple(st.record.normalized for st in stages)
-    deltas = tuple(abs(normalized[j] - normalized[j - 1]) if crosses[j] is None
-                   else normalized_energy(crosses[j], n_values[j], s, d)
-                   for j in range(1, k_max + 1))
+    deltas = tuple(abs(normalized[j] - normalized[j - 1]) if st.cross is None
+                   else normalized_energy(st.cross, st.record.N, s, d)
+                   for j, st in enumerate(stages[1:], 1))
     tails = tuple(tail_bound(fractal, s, n) for n in n_values)
     return GeometricLimitReport(normalized[-1], s, d, n_values, energies,
-                                normalized, deltas, tails, polish, tuple(stages),
-                                tuple(separations))
+                                normalized, deltas, tails, polish, stages,
+                                tuple(st.min_distance for st in stages))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .asymptotics import (
     geometric_limit,
     monotonicity_check,
 )
-from .energy import min_pairwise_distance
 from .errors import (
     ClassificationError,
     DomainError,
@@ -101,11 +100,20 @@ def _search_options(params: dict, experiment: str = None) -> SearchOptions:
     return SearchOptions(**given)
 
 
+def _summary_json(summary: dict, indent: int = None) -> str:
+    """Sorted strict JSON of a summary (scalars and lists): a number that is
+    not finite is written as null."""
+    def strict(v):
+        if isinstance(v, list):
+            return [strict(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps({k: strict(v) for k, v in summary.items()}, sort_keys=True,
+                      indent=indent, allow_nan=False)
+
+
 def _write_summary(out_dir: str, name: str, summary: dict):
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(_summary_json(summary, indent=2) + "\n")
 
 
 def _run_minimize(fractal, params: dict, out_dir: str) -> dict:
@@ -116,7 +124,7 @@ def _run_minimize(fractal, params: dict, out_dir: str) -> dict:
     opts = _search_options(params, "minimize")
     depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), n)
     result = local_search_minimize(fractal, n, s, opts)
-    delta = min_pairwise_distance(result.config)
+    delta = result.min_distance
     write_table(
         os.path.join(out_dir, "minimize_results.csv"),
         ["N", "s", "depth", "strategy", "seed", "energy", "normalized",
@@ -506,13 +514,12 @@ def _dispatch(args) -> int:
     fractal = load_fractal(args.fractal)
     os.makedirs(args.out, exist_ok=True)
     summary = _RUNNERS[args.experiment](fractal, params, args.out)
-    print(json.dumps(summary, sort_keys=True))
+    print(_summary_json(summary))
     return 0
 
 
 def _cmd_run(args) -> int:
-    summary = run(args.config, args.out)
-    print(json.dumps(summary, sort_keys=True))
+    print(_summary_json(run(args.config, args.out)))
     return 0
 
 

@@ -105,16 +105,22 @@ def _kernel_sum(blocks, s: float, singular: str):
     return total, least
 
 
+def _pair_pass(pts: np.ndarray, s: float):
+    """(ordered-pair s-energy, least squared pair distance) of an (N, p)
+    array from one pass over its pairs; (0.0, inf) for one point."""
+    if s <= 0.0:
+        raise DomainError(f"exponent s must be positive, got {s}")
+    total, least = _kernel_sum(_row_blocks(pts), s, "configuration contains coincident points")
+    return 2.0 * total, least
+
+
 def riesz_energy(config, s: float) -> float:
     """Ordered-pair Riesz s-energy; 0 for a single point.
 
     Coincident points raise SingularConfigurationError, which is distinct
     from a finite-but-overflowing sum (returned as inf).
     """
-    if s <= 0.0:
-        raise DomainError(f"exponent s must be positive, got {s}")
-    blocks = _row_blocks(_as_points(config))
-    return 2.0 * _kernel_sum(blocks, s, "configuration contains coincident points")[0]
+    return _pair_pass(_as_points(config), s)[0]
 
 
 def normalized_energy(energy: float, n: int, s: float, d: float) -> float:
@@ -314,16 +320,11 @@ def min_point_energy(config, candidates, s: float):
     return np.array(cands[idx]), float(values[idx])
 
 
-def _min_sq_distance(pts: np.ndarray) -> float:
-    """Least squared pair distance of an (N, p) array, inf for one point."""
-    return min(float(d2.min()) for d2 in _row_blocks(pts))
-
-
 def min_pairwise_distance(config) -> float:
     pts = _as_points(config)
     if pts.shape[0] < 2:
         raise DomainError("need at least two points")
-    return math.sqrt(_min_sq_distance(pts))
+    return math.sqrt(min(float(d2.min()) for d2 in _row_blocks(pts)))
 
 
 def covering_radius(config, mesh, slack: float = 0.0):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +36,7 @@ from .energy import (
     EnergyRecord,
     _finite_row_sums,
     _lift_cross,
-    _min_sq_distance,
+    _pair_pass,
     _point_kernel,
     _point_rows,
     _shared_lift_cross,
@@ -110,11 +110,14 @@ class SearchOptions:
 
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
-    """A minimizer's points, their cell words and their energy.
+    """A minimizer's points, their cell words, energy and least pair distance.
 
     The points are `lifts` lifts of a base with cell words `words` (a
-    search has 0 lifts).  config, the points with one CellAddress per
-    decoded word (_row_label), is built on its first read and kept.
+    search has 0 lifts).  min_distance (nan for one point) comes from the
+    pass that sums the energy, or for a raw lift stage from the recursion
+    of lift_chain, whose cross term is `cross` (None for every other
+    result).  config, the points with one CellAddress per decoded word
+    (_row_label), is built on its first read and kept.
     """
 
     points: np.ndarray
@@ -124,7 +127,9 @@ class MinimizeResult:
     strategy: str
     certified: bool
     iterations: int
+    min_distance: float
     lifts: int = 0
+    cross: float = None
 
     @cached_property
     def config(self) -> Configuration:
@@ -522,8 +527,10 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
 def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
     """Sweep until no move improves, the move budget is spent or _MAX_SWEEPS.
 
-    The level kernels built by the first sweep that needs them are kept,
-    column by column current, for every later sweep.
+    Returns the state, the (energy, least squared pair distance) of its
+    points and the accepted moves.  The level kernels built by the first
+    sweep that needs them are kept, column by column current, for every
+    later sweep.
     """
     kernels = {}
     total = 0
@@ -535,24 +542,24 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
         total += accepted
         if accepted == 0:
             break
-    return state, riesz_energy(state.pts, s), total
+    return state, _pair_pass(state.pts, s), total
 
 
 def _result(fractal, s, pts: np.ndarray, words, strategy, certified, iterations,
-            energy: float = None, lifts: int = 0) -> MinimizeResult:
-    """The points as a result; their energy is evaluated unless already known.
+            pair, lifts: int = 0, cross: float = None) -> MinimizeResult:
+    """The points as a result; pair is their (energy, least squared pair distance).
 
     words are the points' cell words, or the base words of a cloud lifted
     `lifts` times.  Nothing moves the points afterwards (a lift builds new
     ones), so they are frozen, not copied.
     """
     pts.setflags(write=False)
-    if energy is None:
-        record = EnergyRecord.from_config(pts, s, fractal.dimension)
-    else:
-        record = EnergyRecord.from_energy(energy, pts.shape[0], s, fractal.dimension)
-    return MinimizeResult(pts, tuple(words), fractal.label, record, strategy,
-                          certified, iterations, lifts)
+    energy, sep2 = pair
+    n = pts.shape[0]
+    return MinimizeResult(pts, tuple(words), fractal.label,
+                          EnergyRecord.from_energy(energy, n, s, fractal.dimension),
+                          strategy, certified, iterations,
+                          math.sqrt(sep2) if n >= 2 else math.nan, lifts, cross)
 
 
 def _first_best(K: int, N: int, score):
@@ -597,6 +604,10 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
     """Certified minimum over all N-subsets of the depth-l candidate mesh.
 
     Subsets are visited in lexicographic order and the first minimum is kept.
+    Certified means the minimum over this one finite mesh: an upper bound on
+    the true minimal energy E_s(A; N), not its value.  On cantor(1/3) at
+    s = 3, N = 3 and depth 4 the anchor mesh gives 69.3 and the endpoint mesh
+    62.75.
     """
     if mesh not in ("anchor", "endpoint"):
         raise DomainError("mesh must be 'anchor' or 'endpoint'")
@@ -614,7 +625,8 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
         coords.shape[0], N, lambda sub: float(kernel[np.ix_(sub, sub)].sum()))
     if best is None:
         raise SingularConfigurationError("every candidate subset contains coincident points")
-    return _result(fractal, s, coords[list(best)], words(best), "exhaustive", True, count)
+    pts = coords[list(best)]
+    return _result(fractal, s, pts, words(best), "exhaustive", True, count, _pair_pass(pts, s))
 
 
 def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions):
@@ -648,9 +660,7 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
         return _run_search(fractal, s, st, opts, max_depth, mesh)
 
     outcomes = [run(st) for st in starts]
-    best_i = min(range(len(outcomes)), key=lambda i: (outcomes[i][1], i))
-    state, energy, moves = outcomes[best_i]
-    return state, energy, moves
+    return outcomes[min(range(len(outcomes)), key=lambda i: (outcomes[i][1][0], i))]
 
 
 def local_search_minimize(fractal: Fractal, N: int, s: float,
@@ -672,20 +682,15 @@ def local_search_minimize(fractal: Fractal, N: int, s: float,
         depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), N)
         return exhaustive_minimize(fractal, N, s, depth, budget=opts.subset_budget)
     if opts.strategy == "lift-seeded":
-        return _lift_seeded(fractal, N, s, opts)
-    state, energy, moves = _local_search_state(fractal, N, s, opts)
-    return _result(fractal, s, state.pts, state.words, "local-search", False, moves, energy)
-
-
-def _lift_seeded(fractal: Fractal, N: int, s: float, opts: SearchOptions) -> MinimizeResult:
-    M = len(fractal.maps)
-    n0, k = N, 0
-    while n0 % M == 0 and n0 // M >= 2:
-        n0 //= M
-        k += 1
-    if k == 0:
-        return local_search_minimize(fractal, N, s, replace(opts, strategy="local-search"))
-    return lift_chain(fractal, s, n0, k, opts=opts, polish=True)[-1]
+        M = len(fractal.maps)
+        n0, k = N, 0
+        while n0 % M == 0 and n0 // M >= 2:
+            n0 //= M
+            k += 1
+        if k:
+            return lift_chain(fractal, s, n0, k, opts=opts, polish=True)[-1]
+    state, pair, moves = _local_search_state(fractal, N, s, opts)
+    return _result(fractal, s, state.pts, state.words, "local-search", False, moves, pair)
 
 
 def lift(fractal: Fractal, config: Configuration, s: float = None) -> Configuration:
@@ -733,33 +738,22 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
                opts: SearchOptions = None, polish: bool = True):
     """Minimize at n0 points, then lift k times (optionally polishing each stage).
 
-    Returns one MinimizeResult per stage, sizes n0 * M**j for j = 0..k.  With
-    polish=False the stages after the first are the raw iterated lifts, which
-    is the construction behind the geometric-subsequence bound; their
-    energies follow from the previous stage's by the self-similar recursion
-    and never from a pair pass over the stage (see _lift_stages), so they
-    describe the exact images of that stage.
-    """
-    return _lift_stages(fractal, s, n0, k, opts, polish)[0]
-
-
-def _lift_stages(fractal: Fractal, s: float, n0: int, k: int,
-                 opts: SearchOptions, polish: bool):
-    """(stages, least pair distances, cross terms) of a lift chain.
-
-    Stage 0 and polished stages are evaluated directly, their separation by
-    one pass over their points.  A raw stage j takes energy = sum_m r_m**(-s)
-    * E_prev + cross_j and squared separation min(min_m r_m**2 *
-    delta_prev**2, least cross distance**2).  When the maps share one linear
-    part (Fractal.shared_linear_part) cross_j comes from the
+    Returns one MinimizeResult per stage, sizes n0 * M**j for j = 0..k.
+    Stage 0 and polished stages take their energy and min_distance from one
+    pass over their points.  With polish=False the stages after the first
+    are the raw iterated lifts, the construction behind the
+    geometric-subsequence bound.  A raw stage j is never evaluated directly:
+    its energy is sum_m r_m**(-s) * E_prev + cross_j and its squared
+    min_distance min(min_m r_m**2 * delta_prev**2, least cross distance**2),
+    so it describes the exact images of the previous stage; it carries
+    cross_j as `cross`.  When the maps share one linear part
+    (Fractal.shared_linear_part) cross_j comes from the
     translation-difference clouds of stage 0 (_shared_lift_cross), otherwise
     from one _lift_cross pass over the images.  With equal ratios the lift
     bound is checked on the recursive energy, polished or not.  A stage's
     points are the image cloud of the previous stage's, so a raw stage j
-    keeps stage 0's words and j lifts; a polished stage decodes the words
-    it searches on.  The distance is nan for a one-point stage; the cross
-    term is None for stage 0 and for polished stages.  No stage's config is
-    read here.
+    keeps stage 0's words and j lifts; a polished stage decodes the words it
+    searches on.  No stage's config is read here.
     """
     opts = opts if opts is not None else SearchOptions()
     M = len(fractal.maps)
@@ -773,22 +767,19 @@ def _lift_stages(fractal: Fractal, s: float, n0: int, k: int,
         raise DomainError("k must be nonnegative")
     if n0 == 1:
         words, pts = [()], fractal.base_anchor()[None, :]
-        energy, moves = 0.0, 0
+        pair, moves = (0.0, math.inf), 0
     else:
-        state, energy, moves = _local_search_state(
-            fractal, n0, s, replace(opts, strategy="local-search"))
+        state, pair, moves = _local_search_state(fractal, n0, s, opts)
         words, pts = state.words, state.pts
-    results = [_result(fractal, s, pts, words, "lift-seeded", False, moves, energy)]
-    sep2 = _min_sq_distance(pts)
-    separations = [math.sqrt(sep2) if n0 >= 2 else math.nan]
-    crosses = [None]
+    stages = [_result(fractal, s, pts, words, "lift-seeded", False, moves, pair)]
+    # sep2 stays squared across stages: a root taken in between would move its bits
+    energy, sep2 = pair
     mesh = _Mesh(fractal)
     r2 = min(fractal.ratios) ** 2
     base = pts
     linear = None if polish else fractal.shared_linear_part
     translations = np.stack([m.translation for m in fractal.maps])
     for j in range(1, k + 1):
-        prev_energy = results[-1].record.energy
         n_prev = pts.shape[0]
         # stage sizes are set by n0 and k, not by the cloud budget
         pts = _image_cloud(fractal, pts, 1, math.inf)
@@ -797,24 +788,20 @@ def _lift_stages(fractal: Fractal, s: float, n0: int, k: int,
         elif fractal.equal_ratios or not polish:
             cross, cross_sep2 = _lift_cross(np.split(pts, M), s)
         if fractal.equal_ratios or not polish:
-            energy = _lifted_energy(fractal, s, prev_energy, cross)
+            lifted = _lifted_energy(fractal, s, energy, cross)
         if fractal.equal_ratios:
-            _check_lift_bound(fractal, s, n_prev, prev_energy, energy)
+            _check_lift_bound(fractal, s, n_prev, energy, lifted)
         if polish:
             state = _State([_row_label(row, M, 1, words) for row in range(M * n_prev)], pts)
             max_depth = max(len(w) for w in state.words) + 8
-            state, energy, moves = _run_search(fractal, s, state, opts, max_depth, mesh)
-            words, pts, lifts = state.words, state.pts, 0
-            sep2 = _min_sq_distance(pts)
-            crosses.append(None)
+            state, (energy, sep2), moves = _run_search(fractal, s, state, opts, max_depth, mesh)
+            words, pts, lifts, cross = state.words, state.pts, 0, None
         else:
+            energy, sep2 = lifted, min(r2 * sep2, cross_sep2)
             moves, lifts = 0, j
-            sep2 = min(r2 * sep2, cross_sep2)
-            crosses.append(cross)
-        separations.append(math.sqrt(sep2))
-        results.append(_result(fractal, s, pts, words, "lift-seeded", False, moves, energy,
-                               lifts))
-    return results, separations, crosses
+        stages.append(_result(fractal, s, pts, words, "lift-seeded", False, moves,
+                              (energy, sep2), lifts, cross))
+    return stages
 
 
 def best_packing(fractal: Fractal, N: int, depth: int,

@@ -268,9 +268,15 @@ def test_geometric_limit_min_distances(cantor13):
     for n0, polish in ((1, False), (2, False), (2, True)):
         rep = rf.geometric_limit(cantor13, 3.0, n0=n0, k_max=3, polish=polish)
         assert len(rep.min_distances) == 4
-        for st, sep in zip(rep.stages, rep.min_distances):
+        for j, (st, sep) in enumerate(zip(rep.stages, rep.min_distances)):
+            assert sep is st.min_distance
+            evaluated = j == 0 or polish
+            # stage 0 and polished stages: the one pair pass, no cross term
+            assert (st.cross is None) == evaluated
             if st.config.n < 2:
                 assert math.isnan(sep)
+            elif evaluated:
+                assert sep == rf.min_pairwise_distance(st.points)
             else:
                 assert sep == pytest.approx(rf.min_pairwise_distance(st.config), rel=1e-12)
 

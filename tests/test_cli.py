@@ -143,6 +143,37 @@ def test_gap_uncertified_for_ternary(tmp_path, capsys):
     assert summary["certified"] is False
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("doc, name", [
+    ({"experiment": "g-curve", "s": 3, "n_min": 2, "n_max": 8, "bins": 64},
+     "g_curve_summary.json"),
+    ({"experiment": "gap", "s": 4}, "gap_summary.json"),
+], ids=["g-curve", "gap"])
+def test_summaries_are_strict_json(doc, name, tmp_path, capsys):
+    # a number that is not finite is written as null, in the file and on stdout
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in doc.items() if k != "experiment"]
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(dict(doc, fractal="cantor(1/3)")))
+    for argv, out in (([doc["experiment"], "--fractal", "cantor(1/3)"] + flags, "cli"),
+                      (["run", "--config", str(cfg)], "run")):
+        out = str(tmp_path / out)
+        assert rf.main(argv + ["--out", out]) == 0
+        printed = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            assert _strict_json(fh.read()) == printed
+        if doc["experiment"] == "gap":
+            assert printed["s_threshold"] is None and not printed["threshold_defined"]
+        else:
+            assert printed["estimates"].count(None) == printed["empty_bins"] == 60
+            header, rows = rf.serialize.read_table(os.path.join(out, "g_curve.csv"))
+            assert sum(r[header.index("estimate")] == "nan" for r in rows) == 60
+
+
 # -------------------------------------------------------------- geometric limit
 
 def test_geometric_limit_artifacts(tmp_path, capsys):

@@ -163,7 +163,7 @@ def test_blocked_cross_energy_and_covering_radius(rng):
 def test_unpolished_lift_chain_uses_the_self_similar_recursion(monkeypatch, cantor13):
     # raw stages come from the previous stage: no pair pass on any of them
     calls = []
-    for name in ("riesz_energy", "min_pairwise_distance"):
+    for name in ("riesz_energy", "min_pairwise_distance", "_pair_pass"):
         fn = getattr(rf.energy, name)
 
         def counted(config, *args, _fn=fn, _name=name):
@@ -187,14 +187,14 @@ def test_lift_recursion_matches_direct_evaluation(case, cantor13, mixed_fractal)
         "two-scale": (mixed_fractal, 3.0, 2, 8),
     }[case]
     opts = rf.SearchOptions(seed=0, restarts=1)
-    stages, seps, _ = rf.minimize._lift_stages(fractal, s, n0, k, opts, False)
-    assert len(stages) == len(seps) == k + 1
-    for st, sep in zip(stages, seps):
+    stages = rf.lift_chain(fractal, s, n0, k, opts=opts, polish=False)
+    assert len(stages) == k + 1
+    for st in stages:
         direct = rf.riesz_energy(st.config, s)
         assert abs(st.record.energy - direct) <= 1e-12 * direct
         assert st.record.normalized == rf.normalized_energy(
             st.record.energy, st.record.N, s, fractal.dimension)
-        assert sep == pytest.approx(rf.min_pairwise_distance(st.config), rel=1e-9)
+        assert st.min_distance == pytest.approx(rf.min_pairwise_distance(st.config), rel=1e-9)
 
 
 def test_lift_cross_sums_ordered_pairs_and_finds_least_distance(rng):

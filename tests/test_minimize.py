@@ -244,6 +244,16 @@ def test_strategy_dispatch(cantor13):
     ls = rf.local_search_minimize(
         cantor13, 8, 3.0, rf.SearchOptions(strategy="lift-seeded", seed=0))
     assert ls.strategy == "lift-seeded" and not ls.certified
+    # N = 3 is no n0 * 2**k with k >= 1: lift-seeded runs the plain local search
+    odd = rf.local_search_minimize(
+        cantor13, 3, 3.0, rf.SearchOptions(strategy="lift-seeded", seed=0))
+    plain = rf.local_search_minimize(cantor13, 3, 3.0, rf.SearchOptions(seed=0))
+    assert odd.strategy == plain.strategy == "local-search"
+    assert odd.record == plain.record and odd.words == plain.words
+    # every strategy's least distance comes from its energy pass, bit for bit
+    for res in (ex, ls, odd, plain):
+        assert res.min_distance == rf.min_pairwise_distance(res.points)
+        assert res.cross is None
 
 
 def test_search_options_validation():
