@@ -21,10 +21,9 @@ import argparse
 import importlib.resources
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
-
-import jsonschema
 
 from .asymptotics import (
     _DEFAULT_STRATEGY,
@@ -62,6 +61,88 @@ def _load_schema() -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
+# ---------------------------------------------------------------------------
+# the draft-07 subset that experiment.schema.json uses, read as jsonschema 4
+# reads it; a node with any other keyword raises, so no rule goes unchecked
+
+_KEYWORDS = frozenset({
+    "$schema", "title", "description", "definitions",  # annotations only
+    "type", "required", "properties", "additionalProperties", "enum", "minimum",
+    "exclusiveMinimum", "exclusiveMaximum", "minLength", "minItems", "items", "oneOf",
+    "$ref"})
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+# bool is no number; a float with an integral value is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+_BOUNDS = (("minimum", lambda v, b: v < b, "less than"),
+           ("exclusiveMinimum", lambda v, b: v <= b, "not greater than"),
+           ("exclusiveMaximum", lambda v, b: v >= b, "not less than"))
+
+
+def _schema_error(schema: dict, value, root: dict, path: str = ""):
+    """The first (path, message) by which value breaks schema, else None; a
+    path reads like fractal.maps[1].ratio, and root is the schema document
+    that local $refs point into."""
+    unknown = schema.keys() - _KEYWORDS
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise NotImplementedError(f"schema keywords {sorted(unknown)} are not interpreted"
+                                  if unknown else "additionalProperties must be false")
+    if "$ref" in schema:  # draft 7: a $ref replaces its siblings
+        ref = schema["$ref"]
+        if not ref.startswith("#/definitions/"):
+            raise NotImplementedError(f"only #/definitions/ $refs are interpreted: {ref}")
+        return _schema_error(root["definitions"][ref.rpartition("/")[2]], value, root, path)
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        return path, f"{value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:  # string enums: no number matches
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    for key, breaks, words in _BOUNDS:
+        if key in schema and _is_number(value) and breaks(value, schema[key]):
+            return path, f"{value!r} is {words} {schema[key]!r}"
+    for kind, key in ((str, "minLength"), (list, "minItems")):
+        if isinstance(value, kind) and len(value) < schema.get(key, 0):
+            return path, f"{value!r} is shorter than {schema[key]!r}"
+    children = []
+    if isinstance(value, list) and "items" in schema:
+        children = [(schema["items"], item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        at = lambda key: f"{path}.{key}" if path else str(key)
+        for key in schema.get("required", ()):
+            if key not in value:
+                return at(key), "is required but missing"
+        if "additionalProperties" in schema:
+            for key in value:
+                if key not in props:
+                    return at(key), "is not an allowed key"
+        children = [(props[key], value[key], at(key)) for key in props if key in value]
+    for sub, item, child in children:
+        err = _schema_error(sub, item, root, child)
+        if err:
+            return err
+    if "oneOf" in schema:
+        errors = [_schema_error(sub, value, root, path) for sub in schema["oneOf"]]
+        if errors.count(None) > 1:
+            return path, f"{value!r} is valid under more than one oneOf branch"
+        if None not in errors:  # the deepest reason, when one branch got further
+            deepest = max(errors, key=lambda e: len(e[0]))  # deeper paths are longer
+            return deepest if len(deepest[0]) > len(path) else \
+                (path, "no oneOf branch holds: " + "; ".join(e[1] for e in errors))
+    return None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A schema-validated experiment document."""
@@ -70,13 +151,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc) -> "ExperimentConfig":
+        schema = _load_schema()
+        err = _schema_error(schema, doc, schema)
+        if err:
+            raise UsageError(f"experiment config rejected: {err[0] or 'document'}: {err[1]}")
         try:
-            jsonschema.Draft7Validator(_load_schema()).validate(doc)
             json.dumps(doc, allow_nan=False)
-        except jsonschema.ValidationError as exc:
-            raise UsageError(f"experiment config rejected: {exc.message}") from exc
         except ValueError as exc:  # json.dumps: a NaN or an infinity
             raise UsageError("experiment config rejected: it holds NaN or Infinity") from exc
+        except TypeError as exc:  # a number JSON cannot hold, such as np.int64
+            raise UsageError(f"experiment config rejected: {exc}") from exc
         return cls(doc)
 
     @classmethod

@@ -215,6 +215,9 @@ def _row_label(row: int, M: int, lifts: int, base_words=None, prefix=()) -> tupl
 
 
 def _auto_depth(M: int, N: int) -> int:
+    """The least depth l >= 1 with M**l >= N."""
+    if M < 2 and N > 1:
+        raise HypothesisError("a one-map mesh holds one point at every depth")
     depth = 1
     while M ** depth < N:
         depth += 1
@@ -683,6 +686,8 @@ def local_search_minimize(fractal: Fractal, N: int, s: float,
         return exhaustive_minimize(fractal, N, s, depth, budget=opts.subset_budget)
     if opts.strategy == "lift-seeded":
         M = len(fractal.maps)
+        if M < 2:
+            raise HypothesisError("lifting needs at least two maps")
         n0, k = N, 0
         while n0 % M == 0 and n0 // M >= 2:
             n0 //= M

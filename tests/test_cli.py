@@ -1,16 +1,25 @@
 """Command line behavior: artifacts, exit codes, determinism.
 
-Everything runs in-process through main(argv); the thread-count independence
-check lives in the acceptance tests where it uses real subprocesses.
+Everything runs in-process through main(argv), except the check that a run
+never imports jsonschema; the thread-count independence check lives in the
+acceptance tests where it uses real subprocesses.  jsonschema is the
+reference the config checker is compared against.
 """
 
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rieszfrac as rf
+from rieszfrac.cli import _KEYWORDS, _load_schema, _schema_error
 
 D_CANTOR = math.log(2.0) / math.log(3.0)
 
@@ -319,10 +328,144 @@ def test_strategy_and_experiment_names_agree(monkeypatch, cantor13):
 
 
 def test_run_rejects_extra_keys():
-    with pytest.raises(rf.UsageError):
+    with pytest.raises(rf.UsageError, match="rejected: surprise: "):
         rf.ExperimentConfig.from_dict(
             {"fractal": "cantor(1/3)", "s": 2.0, "experiment": "gap",
              "surprise": 1})
+    # a rejection names the path of the offending value first
+    maps = [{"ratio": 0.5, "translation": [0.0]}, {"ratio": 1.5, "translation": [1.0]}]
+    with pytest.raises(rf.UsageError, match=re.escape(
+            "experiment config rejected: fractal.maps[1].ratio: 1.5 is not less than 1")):
+        rf.ExperimentConfig.from_dict(
+            {"fractal": {"label": "x", "ambient_dim": 1, "maps": maps},
+             "s": 2.0, "experiment": "gap"})
+
+
+# values a JSON document or a Python caller may put anywhere: bools are no
+# numbers, integral floats are integers, np.int64 is no integer
+_ODD = st.sampled_from([True, False, 0, 1, -1, 1.0, 0.5, 2.5, 1.5, np.int64(2),
+                        np.float64(2.0), np.float64(0.25), "", "x", None, [], {}, (0.5,),
+                        math.nan, math.inf])
+
+
+def _rarely() -> st.SearchStrategy:
+    """True one time in sixteen."""
+    return st.sampled_from(range(16)).map(lambda i: i == 7)
+
+
+def _mostly(valid):
+    """A value of the valid strategy, now and then an odd one."""
+    return _rarely().flatmap(lambda odd: _ODD if odd else valid)
+
+
+def _with_odd_keys(draw, doc: dict) -> dict:
+    """doc with, now and then, a key dropped or an extra key added."""
+    for key in list(doc):
+        if draw(_rarely()):
+            del doc[key]
+    if draw(_rarely()):
+        doc[draw(st.sampled_from(["surprise", "rotation", "maps", "n", "label"]))] = draw(_ODD)
+    return doc
+
+
+
+
+@st.composite
+def _similitudes(draw):
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
+    sim = {"ratio": draw(_mostly(st.floats(0.0, 1.0))), "translation": draw(_mostly(coords))}
+    if draw(st.booleans()):
+        sim["rotation"] = draw(_mostly(coords))
+    return _with_odd_keys(draw, sim)
+
+
+@st.composite
+def _fractal_specs(draw):
+    spec = {"label": draw(_mostly(st.sampled_from(["x", "two-scale"]))),
+            "ambient_dim": draw(_mostly(st.integers(1, 3))),
+            "maps": draw(_mostly(st.lists(_similitudes(), min_size=1, max_size=3)))}
+    if draw(st.booleans()):
+        spec["diameter"] = draw(_mostly(st.floats(0.0, 2.0)))
+    if draw(st.booleans()):
+        spec["sigma"] = draw(_mostly(st.floats(0.0, 1.0)))
+    return _with_odd_keys(draw, spec)
+
+
+def _property_values(prop: dict):
+    """Values of one optional property, on both sides of its minimum."""
+    if "enum" in prop:
+        return _mostly(st.sampled_from(prop["enum"] + ["anneal"]))
+    if prop["type"] == "boolean":
+        return _mostly(st.booleans())
+    return _mostly(st.integers(prop["minimum"] - 1, 12))
+
+
+_OPTIONAL = {key: _property_values(prop) for key, prop in _load_schema()["properties"].items()
+             if key not in ("fractal", "s", "experiment")}
+
+
+@st.composite
+def _documents(draw):
+    if draw(_rarely()):
+        return draw(st.one_of(_ODD, st.lists(_ODD, max_size=2), st.text(max_size=3)))
+    catalog = st.sampled_from(["cantor(1/3)", "uniform(3,0.2)"])
+    doc = {"fractal": draw(_mostly(st.one_of(catalog, _fractal_specs()))),
+           "s": draw(_mostly(st.floats(0.0, 8.0))),
+           "experiment": draw(_mostly(st.sampled_from(["minimize", "gap", "g-curve"])))}
+    for key in draw(st.lists(st.sampled_from(sorted(_OPTIONAL)), max_size=3)):
+        doc[key] = draw(_OPTIONAL[key])
+    return _with_odd_keys(draw, doc)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_documents())
+def test_config_checker_agrees_with_draft7(doc):
+    import jsonschema
+
+    schema = _load_schema()
+    expected = jsonschema.Draft7Validator(schema).is_valid(doc)
+    assert (_schema_error(schema, doc, schema) is None) == expected
+
+
+def _schema_nodes(node):
+    yield node
+    for key, sub in node.items():
+        if key in ("properties", "definitions"):
+            for child in sub.values():
+                yield from _schema_nodes(child)
+        elif key == "items":
+            yield from _schema_nodes(sub)
+        elif key == "oneOf":
+            for child in sub:
+                yield from _schema_nodes(child)
+
+
+def test_config_checker_covers_every_schema_keyword():
+    nodes = list(_schema_nodes(_load_schema()))
+    assert len(nodes) > 20
+    for node in nodes:
+        assert node.keys() <= _KEYWORDS, node
+    # a keyword it does not interpret is never skipped in silence
+    for schema in ({"type": "string", "pattern": "^c"},
+                   {"type": "object", "additionalProperties": {"type": "string"}},
+                   {"$ref": "other.json#/definitions/x"}):
+        with pytest.raises(NotImplementedError):
+            _schema_error(schema, "cantor(1/3)", schema)
+
+
+def test_a_run_never_imports_jsonschema(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"fractal": "cantor(1/3)", "s": 3.0,
+                               "experiment": "minimize", "n": 3, "seed": 0}))
+    script = ("import sys, rieszfrac.cli\n"
+              "code = rieszfrac.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+              "print(code, 'jsonschema' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rf.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
 
 
 def test_run_rejects_missing_config_file(capsys):
@@ -401,6 +544,13 @@ def test_run_rejects_non_finite_config_numbers(value, tmp_path, capsys):
         assert rf.main(["run", "--config", str(path), "--out", str(out)]) == 2, doc
         assert _last_json(capsys)["error"]["type"] == "UsageError"
         assert not out.exists()
+
+
+def test_config_numbers_json_cannot_hold_are_usage_errors():
+    # np.int64 is a number to draft 7 but no JSON value
+    with pytest.raises(rf.UsageError, match="rejected: .*int64"):
+        rf.ExperimentConfig.from_dict(
+            {"fractal": "cantor(1/3)", "s": np.int64(3), "experiment": "gap"})
 
 
 def test_help_exits_cleanly(capsys):

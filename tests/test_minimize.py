@@ -6,7 +6,11 @@ restarts, and never losing to the certified anchor-mesh optimum.
 """
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -225,6 +229,45 @@ def test_local_search_requires_positive_sigma():
         touching = rf.uniform_line(2, 0.5)
     with pytest.raises(rf.HypothesisError):
         rf.local_search_minimize(touching, 3, 2.0)
+
+
+_ONE_MAP_SCRIPT = """
+import json, sys, warnings
+import rieszfrac as rf
+warnings.simplefilter("ignore")
+one = rf.make_fractal((rf.Similitude(0.5, [[1.0]], [0.0]),), label="one",
+                      diameter=1.0, sigma=0.1)
+calls = [lambda s=s: rf.local_search_minimize(one, 4, 3.0, rf.SearchOptions(strategy=s))
+         for s in ("local-search", "lift-seeded", "exhaustive")]
+calls.append(lambda: rf.monotonicity_check(one, 3.0, range(2, 4)))
+seen = []
+for call in calls:
+    try:
+        call()
+        seen.append("returned")
+    except rf.RieszFracError as exc:
+        seen.append(type(exc).__name__)
+spec = sys.argv[1]
+codes = [rf.main(["minimize", "--fractal", spec, "--s", "3", "--n", "4", "--out", sys.argv[2]]),
+         rf.main(["pack", "--fractal", spec, "--n", "4", "--out", sys.argv[2]])]
+print(json.dumps({"errors": seen, "codes": codes}))
+"""
+
+
+def test_one_map_fractal_searches_raise_instead_of_hanging(tmp_path):
+    # M = 1: M**depth never reaches N and n0 % M is always 0, so the depth and
+    # lift-seeded loops once ran forever; a child process with a timeout keeps
+    # a regression from hanging the suite
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({"label": "one", "ambient_dim": 1, "diameter": 1.0,
+                                "sigma": 0.1,
+                                "maps": [{"ratio": 0.5, "translation": [0.0]}]}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rf.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _ONE_MAP_SCRIPT, str(spec), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert json.loads(lines[-1]) == {"errors": ["HypothesisError"] * 4, "codes": [3, 3]}
 
 
 def test_local_search_validation(cantor13):
