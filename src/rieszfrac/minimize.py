@@ -50,7 +50,7 @@ from .errors import (
     SingularConfigurationError,
 )
 from .fractal import CellAddress, Fractal, _image_cloud, _sq_dists
-from .parallel import spawned_rngs
+from .parallel import restart_indices
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
 # whole-level relocation moves are offered while M**depth stays below this;
@@ -633,6 +633,12 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
 
 
 def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions):
+    """Best (state, pair, moves) over opts.restarts searches, first on ties.
+
+    Restart 0 starts from the greedy maximin seed; random restart r from
+    restart_indices(opts.seed, r, K, N), numpy's seeded N-subset of the K
+    mesh points at the starting depth, computed in pure Python.
+    """
     if fractal.sigma <= 0.0:
         raise HypothesisError(
             "local search needs a certified positive separation (sigma > 0)"
@@ -653,10 +659,7 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
         raise DomainError(f"depth {depth} offers only {K} candidates for N={N}")
 
     starts = [_farthest_point_indices(coords, N)]
-    rngs = spawned_rngs(opts.seed, max(opts.restarts - 1, 0))
-    for rng in rngs:
-        idx = np.sort(rng.choice(K, size=N, replace=False))
-        starts.append([int(i) for i in idx])
+    starts += [restart_indices(opts.seed, r, K, N) for r in range(opts.restarts - 1)]
 
     def run(indices):
         st = _State([_row_label(i, M, depth) for i in indices], coords[list(indices)])

@@ -1,9 +1,9 @@
 """Command line behavior: artifacts, exit codes, determinism.
 
 Everything runs in-process through main(argv), except the check that a run
-never imports jsonschema; the thread-count independence check lives in the
-acceptance tests where it uses real subprocesses.  jsonschema is the
-reference the config checker is compared against.
+never imports jsonschema or numpy.random; the thread-count independence
+check lives in the acceptance tests where it uses real subprocesses.
+jsonschema is the reference the config checker is compared against.
 """
 
 import json
@@ -455,17 +455,21 @@ def test_config_checker_covers_every_schema_keyword():
 
 
 def test_a_run_never_imports_jsonschema(tmp_path):
+    # the minimize run takes the default 3 restarts, so it draws two random
+    # starts; numpy.random is compared before and after because numpy 1.x
+    # imports it together with numpy
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"fractal": "cantor(1/3)", "s": 3.0,
                                "experiment": "minimize", "n": 3, "seed": 0}))
     script = ("import sys, rieszfrac.cli\n"
+              "before = 'numpy.random' in sys.modules\n"
               "code = rieszfrac.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-              "print(code, 'jsonschema' in sys.modules)\n")
+              "print(code, 'jsonschema' in sys.modules, not before and 'numpy.random' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rf.__file__)))
     proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+    assert proc.stdout.strip().splitlines()[-1] == "0 False False"
 
 
 def test_run_rejects_missing_config_file(capsys):

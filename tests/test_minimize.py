@@ -335,6 +335,41 @@ def test_lift_chain_regression_anchors(cantor13):
         10204211.13212981, 551033473.7413087]
 
 
+# The restart sampler against numpy.random, which stays the reference here:
+# seeds that straddle the 32-, 64- and 128-bit word boundaries of the
+# SeedSequence entropy, at the first five restart indices.
+_SAMPLER_SEEDS = [(seed, r) for seed in (0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 1)
+                  for r in range(5)]
+
+
+def _numpy_child(seed, restart):
+    return np.random.SeedSequence(seed).spawn(restart + 1)[restart]
+
+
+@pytest.mark.parametrize("seed,restart", _SAMPLER_SEEDS)
+def test_restart_sampler_raw_outputs_match_numpy_pcg64(seed, restart):
+    from rieszfrac.parallel import _PCG64, _seed_state
+
+    rng = _PCG64(_seed_state(seed, restart))
+    raw = np.random.PCG64(_numpy_child(seed, restart)).random_raw(64)
+    assert [rng.next64() for _ in range(64)] == raw.tolist()
+
+
+@pytest.mark.parametrize("seed,restart", _SAMPLER_SEEDS)
+def test_restart_sampler_matches_numpy_choice(seed, restart):
+    from rieszfrac.parallel import restart_indices
+
+    # Floyd's algorithm unless K > 10000 and N > K // 50, then the tail
+    # shuffle; K = 2**33 + 5 takes the 64-bit bounded draws
+    grid = [(1, 1), (9, 1), (9, 9), (10000, 200), (10000, 201), (10000, 10000),
+            (10001, 1), (10001, 200), (10001, 201), (10001, 10001),
+            (30000, 600), (30000, 601), (2**33 + 5, 3)]
+    for K, N in grid:
+        gen = np.random.Generator(np.random.PCG64(_numpy_child(seed, restart)))
+        want = np.sort(gen.choice(K, size=N, replace=False)).tolist()
+        assert restart_indices(seed, restart, K, N) == want, (K, N)
+
+
 def test_level_kernels_match_fresh_sums_bitwise(cantor13):
     from rieszfrac.energy import _point_kernel
     from rieszfrac.minimize import _level_values, _Mesh, _row_label, _State, _sweep
