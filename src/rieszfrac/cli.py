@@ -3,8 +3,11 @@
 Every run is a pure function of its flags (or config document): numeric CSV
 columns are printed at 17 significant digits, summaries are sorted JSON, and
 no timestamps or environment details are written, so reruns are
-byte-identical.  Multi-start searches run their restarts in order in one
-thread.
+byte-identical.  Multi-start searches of N points on a K-row mesh run
+their restarts in order while N K is below minimize._FAN_OUT_MIN, and on
+forked workers, one per usable core, from there on (parallel.parallel_map);
+the artifacts are the same for every core count, and `taskset -c 0` keeps
+a run in one process.
 
 Every experiment subcommand goes through _dispatch: its flags' dests are
 the param names of a config document, and the runner comes from _RUNNERS as

@@ -50,7 +50,7 @@ from .errors import (
     SingularConfigurationError,
 )
 from .fractal import CellAddress, Fractal, _image_cloud, _sq_dists
-from .parallel import restart_indices
+from .parallel import parallel_map, restart_indices
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
 # whole-level relocation moves are offered while M**depth stays below this;
@@ -73,6 +73,12 @@ _TINY, _HUGE = 2.0 ** -970, 2.0 ** 990
 # points as have, up to the cap.
 _BATCH_TERMS = 1 << 14
 _MIN_BATCH = 2
+# restarts fan out to forked workers (parallel_map) once N times the mesh
+# rows K of the starting depth reaches this.  Forking, the copy-on-write
+# faults it brings and the result's trip through a pipe cost 5-15 ms; on
+# cantor(1/3) with 3 restarts that lost 10-13 ms at N K <= 8064 and won
+# 6-15 ms from N K = 16640 on (2-vCPU VM)
+_FAN_OUT_MIN = 1 << 14
 _STRATEGIES = ("exhaustive", "local-search", "lift-seeded")
 
 
@@ -170,18 +176,21 @@ class _Mesh:
     map of w applied to the (cached) block of the rest of w, the float
     operations of apply_word.  A
     point's sibling candidates are its parent's block and its child
-    candidates its own.  Blocks are cached by word.  Restarts run in
-    order, so one mesh serves them all.
+    candidates its own.  Blocks are cached by word.  Restarts that run in
+    order share the caches; a restart on a forked worker (parallel_map)
+    fills its own copy, with the same floats.  The fixed points are solved
+    for once, here, so that no worker enters LAPACK.
     """
 
     def __init__(self, fractal: Fractal):
         self.fractal = fractal
+        self._fixed_points = fractal.fixed_points()
         self._levels = {}
         self._blocks = {}
 
     def level(self, depth: int) -> np.ndarray:
         if depth not in self._levels:
-            self._levels[depth] = _image_cloud(self.fractal, self.fractal.fixed_points(), depth)
+            self._levels[depth] = _image_cloud(self.fractal, self._fixed_points, depth)
         return self._levels[depth]
 
     def block(self, word):
@@ -442,7 +451,9 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
     (level d row against every point) with column i set to 0, the summands
     point_energy_sums(..., skip_index=i) would form; an accepted move
     recomputes column i of every G_d kept.  Cell blocks come from the mesh
-    cache.  Restarts run in order, so nothing here is shared across threads.
+    cache.  Each restart has its own state and kernels, and the mesh
+    caches only coordinates, so a restart on a forked worker runs the same
+    float operations as one in this process.
 
     The first minimum of the candidate values is accepted when it lies
     below threshold = current - 1e-12 (1 + |current|).  Two screens skip
@@ -637,7 +648,11 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
 
     Restart 0 starts from the greedy maximin seed; random restart r from
     restart_indices(opts.seed, r, K, N), numpy's seeded N-subset of the K
-    mesh points at the starting depth, computed in pure Python.
+    mesh points at the starting depth, computed in pure Python.  Each
+    restart is a pure function of its start.  Where N K reaches
+    _FAN_OUT_MIN the restarts run on forked workers, one per usable core
+    (parallel_map), and in order in this process otherwise; the winner and
+    every bit of it are the same either way.
     """
     if fractal.sigma <= 0.0:
         raise HypothesisError(
@@ -665,7 +680,10 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
         st = _State([_row_label(i, M, depth) for i in indices], coords[list(indices)])
         return _run_search(fractal, s, st, opts, max_depth, mesh)
 
-    outcomes = [run(st) for st in starts]
+    if N * K >= _FAN_OUT_MIN:
+        outcomes = parallel_map(run, starts)
+    else:
+        outcomes = [run(st) for st in starts]
     return outcomes[min(range(len(outcomes)), key=lambda i: (outcomes[i][1][0], i))]
 
 

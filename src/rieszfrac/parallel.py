@@ -1,8 +1,16 @@
-"""The restart sampler: one seeded N-subset of the mesh per random restart.
+"""Restart fan-out and the restart sampler of multi-start searches.
 
-Multi-start searches run their restarts in order, one after another, in
-one thread.  Random restart r starts from the sorted indices that numpy
-would draw as
+`parallel_map(task_fn, items)` returns `[task_fn(x) for x in items]`.
+Where more than one CPU is usable (`os.sched_getaffinity`) and the
+platform has `os.fork`, it runs the items on forked worker processes, one
+per usable core, and sends each result back pickled through a pipe; the
+result list and every artifact are the same for any worker count.  The
+local search fans its restarts out this way once a search is large enough
+to repay the fork (minimize._FAN_OUT_MIN), and runs them in order
+otherwise.  Nothing is configurable: `taskset -c 0 rieszfrac ...` runs
+every restart in one process.
+
+Random restart r starts from the sorted indices that numpy would draw as
 
     np.sort(default_rng(SeedSequence(seed).spawn(r + 1)[r])
             .choice(K, size=N, replace=False))
@@ -16,6 +24,118 @@ which NEP 19 does not keep stream-stable across numpy versions.
 """
 
 from __future__ import annotations
+
+import os
+import pickle
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _run_child(task_fn, items, start: int, step: int, write_fd: int):
+    """Body of a forked worker: run items start, start + step, ... and exit.
+
+    Sends (None, [(index, result), ...]), or (index, exception) for the
+    first item that raised, pickled; then leaves with os._exit, so that no
+    cleanup of the parent's (atexit handlers, buffered output) runs twice.
+    """
+    status = 1
+    try:
+        done = []
+        try:
+            for i in range(start, len(items), step):
+                done.append((i, task_fn(items[i])))
+            sent = (None, done)
+        except Exception as exc:
+            sent = (i, exc)
+        with os.fdopen(write_fd, "wb") as out:
+            out.write(pickle.dumps(sent))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(children: dict, pid: int):
+    """Read worker pid's pipe to EOF, reap it and unpickle what it sent."""
+    pipe = children[pid]
+    data = pipe.read()
+    pipe.close()
+    _, status = os.waitpid(pid, 0)
+    del children[pid]
+    if os.WIFSIGNALED(status):
+        raise RuntimeError(f"worker process {pid} was killed by signal {os.WTERMSIG(status)}")
+    if status != 0 or not data:
+        raise RuntimeError(f"worker process {pid} exited with status {status} and no result")
+    return pickle.loads(data)
+
+
+def parallel_map(task_fn, items) -> list:
+    """[task_fn(x) for x in items], on one forked process per usable core.
+
+    With w = min(len(items), usable cores) >= 2, w - 1 children are forked;
+    child g runs items g, g + w, ... while this process runs items 0, w,
+    2w, ..., then reads each child's pipe to EOF and reaps it.  The results
+    come back in item order.  If items raise, the exception of the first
+    failing item in item order is raised with its own type, so error exit
+    codes are kept; a worker killed by a signal raises RuntimeError.
+    Workers still running when this process raises, KeyboardInterrupt
+    included, are killed and reaped, so none outlives the call.  With
+    w < 2, or without os.fork, the items run here in order.
+
+    Forking is safe for the tasks the package fans out.  numpy's OpenBLAS
+    keeps a thread pool, but it quiesces the pool around fork through
+    pthread_atfork, and the children run only elementwise numpy and einsum
+    code, never BLAS or LAPACK (minimize._Mesh solves for the fixed points
+    before any fork).  Python >= 3.12 still raises a DeprecationWarning
+    when a process with threads forks.  It is left unsilenced: the default
+    filters hide it, since it is raised in this module, and test runners
+    such as pytest list it.
+    """
+    items = list(items)
+    w = min(len(items), _usable_cores())
+    if w < 2 or not hasattr(os, "fork"):
+        return [task_fn(x) for x in items]
+    children = {}  # pid -> read end of its pipe, until the worker is reaped
+    try:
+        for g in range(1, w):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _run_child(task_fn, items, g, w, write_fd)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        results = [None] * len(items)
+        failed = None  # (index, exception) of the first failing item
+        try:
+            for i in range(0, len(items), w):
+                results[i] = task_fn(items[i])
+        except Exception as exc:
+            failed = (i, exc)
+        for pid in list(children):
+            first, sent = _collect(children, pid)
+            if first is None:
+                for i, value in sent:
+                    results[i] = value
+            elif failed is None or first < failed[0]:
+                failed = (first, sent)
+        if failed is not None:
+            raise failed[1]
+        return results
+    finally:
+        if children:
+            import signal
+
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1

@@ -204,28 +204,47 @@ def test_criterion_10_decomposition_identity(cantor13):
 
 
 def test_criterion_11_thread_count_reproducibility(tmp_path):
-    cfg = {"fractal": "cantor(1/3)", "s": 3.0, "experiment": "geometric-limit",
-           "n0": 2, "k_max": 5, "seed": 0, "restarts": 4,
-           "strategy": "lift-seeded"}
-    cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps(cfg))
+    limit = {"fractal": "cantor(1/3)", "s": 3.0, "experiment": "geometric-limit",
+             "n0": 2, "k_max": 5, "seed": 0, "restarts": 4,
+             "strategy": "lift-seeded"}
+    # N K = 256 * 512 reaches minimize._FAN_OUT_MIN, so the restarts of this
+    # search run on one forked worker per usable core
+    search = {"fractal": "cantor(1/3)", "s": 3.0, "experiment": "minimize",
+              "n": 256, "seed": 0, "restarts": 3}
 
-    def run_with(threads, out):
-        env = dict(os.environ, RIESZ_THREADS=str(threads))
+    def run_with(cfg, out, threads=None, one_cpu=False):
+        cfg_path = tmp_path / f"{out}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        env = dict(os.environ)
+        if threads is not None:
+            env["RIESZ_THREADS"] = str(threads)
+        pin = None
+        # without sched_setaffinity the library sees one usable core anyway
+        if one_cpu and hasattr(os, "sched_setaffinity"):
+            def pin():
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         proc = subprocess.run(
             [sys.executable, "-m", "rieszfrac", "run",
-             "--config", str(cfg_path), "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300)
+             "--config", str(cfg_path), "--out", str(tmp_path / out)],
+            capture_output=True, text=True, env=env, timeout=300, preexec_fn=pin)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        return {name: (out / name).read_bytes()
-                for name in sorted(os.listdir(out))}
+        files = {name: (tmp_path / out / name).read_bytes()
+                 for name in sorted(os.listdir(tmp_path / out))}
+        assert files
+        return dict(files, stdout=proc.stdout)
 
-    files_1 = run_with(1, tmp_path / "t1")
-    files_8 = run_with(8, tmp_path / "t8")
-    files_1b = run_with(1, tmp_path / "t1b")
-    assert files_1.keys() == files_8.keys() and len(files_1) > 0
+    files_1 = run_with(limit, "t1", threads=1)
+    files_8 = run_with(limit, "t8", threads=8)
+    files_1b = run_with(limit, "t1b", threads=1)
+    assert files_1.keys() == files_8.keys() == files_1b.keys()
     for name in files_1:
         assert files_1[name] == files_8[name], f"{name} differs across threads"
         assert files_1[name] == files_1b[name], f"{name} differs across reruns"
-    print(f"C11 PASS: {len(files_1)} artifacts byte-identical for "
-          "RIESZ_THREADS=1 vs 8 and across reruns")
+    one_cpu = run_with(search, "one_cpu", one_cpu=True)
+    all_cpus = run_with(search, "all_cpus")
+    assert one_cpu.keys() == all_cpus.keys()
+    for name in one_cpu:
+        assert one_cpu[name] == all_cpus[name], f"{name} differs across CPU affinity"
+    print(f"C11 PASS: {len(files_1)} outputs byte-identical for "
+          f"RIESZ_THREADS=1 vs 8 and across reruns, {len(one_cpu)} for one CPU "
+          "vs all CPUs")
