@@ -314,8 +314,9 @@ def geometric_limit(fractal: Fractal, s: float, n0: int, k_max: int,
     (one ulp from N = 32,768 on cantor(1/3)), and it obeys the tail bound
     with no roundoff allowance.  When the maps share one linear part the
     cross terms come from translation-difference clouds, O(n0**2 * T**k)
-    kernel terms for T distinct translation differences instead of O(N**2)
-    (see lift_chain).  A raw stage carries its cross term as `cross`.
+    kernel terms for T distinct translation differences instead of O(N**2),
+    with the clouds set up once per chain and advanced stage by stage (see
+    lift_chain).  A raw stage carries its cross term as `cross`.
     Polished stages are evaluated directly and their delta is the absolute
     difference of the normalized values.  lift_chain checks the separation
     and n0.

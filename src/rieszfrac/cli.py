@@ -21,6 +21,7 @@ minimize.local_search_minimize alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import math
@@ -59,7 +60,9 @@ from .serialize import configuration_to_csv, fmt_float, read_table, write_table
 _ENERGY_NOTE = "energy convention: ordered pairs, sum over i != j of |xi - xj|^(-s)"
 
 
+@functools.cache
 def _load_schema() -> dict:
+    """The bundled experiment schema, read on the first call; treat as read-only."""
     ref = importlib.resources.files("rieszfrac") / "schemas" / "experiment.schema.json"
     return json.loads(ref.read_text(encoding="utf-8"))
 
@@ -503,6 +506,7 @@ def _add_search(p, strategy: bool = True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new rieszfrac argument parser on every call (main reuses its first)."""
     parser = argparse.ArgumentParser(
         prog="rieszfrac",
         description="Riesz energy minimization and asymptotics on self-similar fractals",
@@ -570,6 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser main uses: built on main's first call, not at import, and kept
+_main_parser = functools.cache(build_parser)
+
+
 def _cmd_dimension(args) -> int:
     if args.ratios:
         ratios = [parse_number(tok) for tok in args.ratios.split(",") if tok.strip()]
@@ -627,9 +635,8 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

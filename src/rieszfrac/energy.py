@@ -12,6 +12,7 @@ blocks of about CLOUD_BLOCK kernel entries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -174,10 +175,10 @@ def _lift_cross(parts, s: float):
     return 2.0 * total, least
 
 
-def _shared_lift_cross(base: np.ndarray, linear: np.ndarray, translations: np.ndarray,
-                       j: int, s: float):
-    """(cross energy, least squared distance) of raw lift stage j >= 1 of base
-    under maps x -> A x + t_a that share one linear part A.
+def _shared_lift_crosses(base: np.ndarray, linear: np.ndarray, translations: np.ndarray,
+                         s: float):
+    """Yield (cross energy, least squared distance) of raw lift stages
+    j = 1, 2, ... of base under maps x -> A x + t_a that share one linear part A.
 
     Two points of stage j in distinct images differ by
     A^j (x0 - y0) + tau_0 + sum_{0<i<j} A^i tau_i, with x0, y0 in base and each
@@ -188,8 +189,13 @@ def _shared_lift_cross(base: np.ndarray, linear: np.ndarray, translations: np.nd
     tau_0 and -tau_0 give the same distances, so only the tau_0 whose leading
     nonzero component is positive are formed and the sum is doubled.  Offsets
     are streamed as a fixed low-digit cloud plus chunks of the high digits, about
-    CLOUD_BLOCK kernel entries at a time, so memory does not grow with j.  Images
-    that share a point raise.
+    CLOUD_BLOCK kernel entries at a time, so memory does not grow with j.
+
+    The groups, the distinct base differences and the low-digit cloud are
+    formed once per chain, on the first draw; each later draw advances A^i tau
+    and A^j (x0 - y0) by one product with A and extends the low-digit cloud by
+    at most one digit.  Images that share a point raise when their stage is
+    drawn.
     """
     p = base.shape[1]
     taus, mult = np.unique((translations[:, None] - translations[None, :]).reshape(-1, p),
@@ -200,40 +206,40 @@ def _shared_lift_cross(base: np.ndarray, linear: np.ndarray, translations: np.nd
     T = taus.shape[0]
     half = taus[np.arange(T), np.argmax(taus != 0.0, axis=1)] > 0.0
     powers = [taus]  # A^i tau for every group, i < j
-    for _ in range(1, j):
-        powers.append(np.einsum("ij,nj->ni", linear, powers[-1]))
     diffs, counts = np.unique((base[:, None] - base[None, :]).reshape(-1, p),
                               axis=0, return_counts=True)
-    for _ in range(j):
-        diffs = np.einsum("ij,nj->ni", linear, diffs)
     low, w_low = taus[half], mult[half]
     h = 1
-    while h < j and diffs.shape[0] * low.shape[0] * T <= CLOUD_BLOCK:
-        low = (low[:, None] + powers[h][None, :]).reshape(-1, p)
-        w_low = np.outer(w_low, mult).reshape(-1)
-        h += 1
-    chunk = max(1, CLOUD_BLOCK // (diffs.shape[0] * low.shape[0]))
-    n_high = T ** (j - h)
-    total = 0.0
-    least = math.inf
-    for q0 in range(0, n_high, chunk):
-        idx = np.arange(q0, min(n_high, q0 + chunk))
-        high = np.zeros((idx.shape[0], p))
-        w_high = np.ones(idx.shape[0])
-        for i in range(h, j):
-            idx, digit = np.divmod(idx, T)
-            high += powers[i][digit]
-            w_high *= mult[digit]
-        # diffs holds d and -d alike: |offset - d| takes the values of |d + offset|
-        d2 = _sq_dists(diffs, (high[:, None] + low[None, :]).reshape(-1, p))
-        least = min(least, float(d2.min()))
-        if least == 0.0:
-            raise SingularConfigurationError("images of the lift share a point")
-        with np.errstate(over="ignore"):
-            np.power(d2, -0.5 * s, out=d2)
-        d2 *= np.outer(w_high, w_low).reshape(-1)
-        total += float(np.sum(d2.sum(axis=1) * counts))
-    return 2.0 * total, least
+    for j in itertools.count(1):
+        if j > 1:
+            powers.append(np.einsum("ij,nj->ni", linear, powers[-1]))
+        diffs = np.einsum("ij,nj->ni", linear, diffs)
+        if h < j and diffs.shape[0] * low.shape[0] * T <= CLOUD_BLOCK:
+            low = (low[:, None] + powers[h][None, :]).reshape(-1, p)
+            w_low = np.outer(w_low, mult).reshape(-1)
+            h += 1
+        chunk = max(1, CLOUD_BLOCK // (diffs.shape[0] * low.shape[0]))
+        n_high = T ** (j - h)
+        total = 0.0
+        least = math.inf
+        for q0 in range(0, n_high, chunk):
+            idx = np.arange(q0, min(n_high, q0 + chunk))
+            high = np.zeros((idx.shape[0], p))
+            w_high = np.ones(idx.shape[0])
+            for i in range(h, j):
+                idx, digit = np.divmod(idx, T)
+                high += powers[i][digit]
+                w_high *= mult[digit]
+            # diffs holds d and -d alike: |offset - d| takes the values of |d + offset|
+            d2 = _sq_dists(diffs, (high[:, None] + low[None, :]).reshape(-1, p))
+            least = min(least, float(d2.min()))
+            if least == 0.0:
+                raise SingularConfigurationError("images of the lift share a point")
+            with np.errstate(over="ignore"):
+                np.power(d2, -0.5 * s, out=d2)
+            d2 *= np.outer(w_high, w_low).reshape(-1)
+            total += float(np.sum(d2.sum(axis=1) * counts))
+        yield 2.0 * total, least
 
 
 def point_energy_sums(candidates, config, s: float, skip_index: int = None) -> np.ndarray:

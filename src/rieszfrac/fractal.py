@@ -482,11 +482,15 @@ def uniform_line(m, r) -> Fractal:
 
 
 def parse_number(text) -> float:
-    """Parse a decimal or a fraction like 1/3; a value that is not finite
-    (nan, inf, a zero denominator) raises DomainError."""
+    """Parse a decimal or a fraction like 1/3; text that is no number or a
+    value that is not finite (nan, inf, a zero denominator) raises
+    DomainError."""
     num, slash, den = str(text).partition("/")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = float(np.divide(float(num), float(den) if slash else 1.0))
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = float(np.divide(float(num), float(den) if slash else 1.0))
+    except ValueError as exc:
+        raise DomainError(f"not a number: {text!r}") from exc
     if not math.isfinite(value):
         raise DomainError(f"not a finite number: {text!r}")
     return value
@@ -512,47 +516,106 @@ def from_catalog(text: str) -> Fractal:
     if name == "uniform":
         if len(args) != 2:
             raise DomainError("uniform(M, r) takes two arguments")
-        return uniform_line(int(args[0]), parse_number(args[1]))
+        try:
+            m = int(args[0])
+        except ValueError as exc:
+            raise DomainError(f"uniform(M, r) needs an integer M, got {args[0].strip()!r}") from exc
+        return uniform_line(m, parse_number(args[1]))
     raise DomainError(f"unknown catalog fractal {name!r}")
 
 
+def _spec_numbers(value, path: str, shape=()) -> np.ndarray:
+    """value read as a float array of the given shape; a value that cannot be
+    read so, or holds a number that is not finite, raises DomainError naming path."""
+    try:
+        out = np.array(value, dtype=float).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"fractal description: cannot read {path} = {value!r} ({exc})") from exc
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"fractal description: {path} = {value!r} is not finite")
+    return out
+
+
 def fractal_from_spec(doc: dict) -> Fractal:
-    """Build a fractal from its JSON description."""
+    """Build a fractal from its JSON description; a description that is
+    missing a key or holds a value of the wrong kind or size raises
+    DomainError."""
     if not isinstance(doc, dict):
         raise DomainError("fractal description must be a JSON object")
-    try:
-        p = int(doc["ambient_dim"])
-        raw_maps = doc["maps"]
-    except KeyError as exc:
-        raise DomainError(f"fractal description missing key {exc}") from exc
-    if p < 1:
-        raise DomainError("ambient_dim must be positive")
+    for key in ("ambient_dim", "maps"):
+        if key not in doc:
+            raise DomainError(f"fractal description missing key {key!r}")
+    p = float(_spec_numbers(doc["ambient_dim"], "ambient_dim"))
+    if p < 1 or not p.is_integer():
+        raise DomainError(f"ambient_dim must be a positive integer, got {doc['ambient_dim']!r}")
+    p = int(p)
+    if not isinstance(doc["maps"], (list, tuple)):
+        raise DomainError(f"fractal description: maps must be a list, got {doc['maps']!r}")
     maps = []
-    for entry in raw_maps:
-        ratio = float(entry["ratio"])
-        rot = entry.get("rotation")
-        if rot is None:
-            rot = np.eye(p)
-        else:
-            rot = np.array(rot, dtype=float).reshape(p, p)  # row-major
-        tra = np.array(entry["translation"], dtype=float).reshape(p)
-        maps.append(Similitude(ratio, rot, tra))
-    return make_fractal(
-        maps,
-        label=str(doc.get("label", "")),
-        diameter=doc.get("diameter"),
-        sigma=doc.get("sigma"),
-    )
+    for i, entry in enumerate(doc["maps"]):
+        at = f"maps[{i}]"
+        if not isinstance(entry, dict):
+            raise DomainError(f"fractal description: {at} must be an object, got {entry!r}")
+        for key in ("ratio", "translation"):
+            if key not in entry:
+                raise DomainError(f"fractal description: {at} missing key {key!r}")
+        rot = entry.get("rotation")  # row-major
+        maps.append(Similitude(
+            float(_spec_numbers(entry["ratio"], f"{at}.ratio")),
+            np.eye(p) if rot is None else _spec_numbers(rot, f"{at}.rotation", (p, p)),
+            _spec_numbers(entry["translation"], f"{at}.translation", (p,))))
+    bounds = {key: float(_spec_numbers(doc[key], key))
+              for key in ("diameter", "sigma") if doc.get(key) is not None}
+    return make_fractal(maps, label=str(doc.get("label", "")), **bounds)
+
+
+# load_fractal's catalog names and spec dicts (as sorted JSON), each with the
+# warnings its build raised, oldest first; file paths are read every time
+_LOADED = {}
+_LOADED_MAX = 16
 
 
 def load_fractal(source) -> Fractal:
-    """Accept a Fractal, a catalog name, a JSON file path, or a spec dict."""
+    """Accept a Fractal, a catalog name, a JSON file path, or a spec dict.
+
+    Catalog names and spec dicts are built once per process and kept in a
+    cache of _LOADED_MAX entries; a repeated load returns the same Fractal
+    (frozen, with read-only arrays) and raises again every warning its build
+    raised.
+    """
     if isinstance(source, Fractal):
         return source
     if isinstance(source, dict):
-        return fractal_from_spec(source)
-    text = str(source)
-    if _CATALOG_RE.match(text):
-        return from_catalog(text)
-    with open(text, "r", encoding="utf-8") as handle:
-        return fractal_from_spec(json.load(handle))
+        try:
+            key = json.dumps(source, sort_keys=True)
+        except (TypeError, ValueError):  # no JSON document: nothing to key it by
+            return fractal_from_spec(source)
+        build = lambda: fractal_from_spec(source)
+    else:
+        key = str(source)
+        if not _CATALOG_RE.match(key):
+            with open(key, "r", encoding="utf-8") as handle:
+                return fractal_from_spec(json.load(handle))
+        build = lambda: from_catalog(key)
+    if key not in _LOADED:
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fractal = build()
+        except Exception:
+            _warn_again(caught)
+            raise
+        if len(_LOADED) >= _LOADED_MAX:
+            del _LOADED[next(iter(_LOADED))]
+        _LOADED[key] = fractal, tuple(caught)
+    fractal, caught = _LOADED[key]
+    _warn_again(caught)
+    return fractal
+
+
+def _warn_again(caught):
+    """Raise recorded warnings as warnings.warn(..., stacklevel=2) raised them
+    in this module: same text, place and once-per-place registry."""
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, module=__name__,
+                               registry=globals().setdefault("__warningregistry__", {}))

@@ -39,7 +39,7 @@ from .energy import (
     _pair_pass,
     _point_kernel,
     _point_rows,
-    _shared_lift_cross,
+    _shared_lift_crosses,
     point_energy_sums,
     riesz_energy,
 )
@@ -773,13 +773,15 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     min_distance min(min_m r_m**2 * delta_prev**2, least cross distance**2),
     so it describes the exact images of the previous stage; it carries
     cross_j as `cross`.  When the maps share one linear part
-    (Fractal.shared_linear_part) cross_j comes from the
-    translation-difference clouds of stage 0 (_shared_lift_cross), otherwise
-    from one _lift_cross pass over the images.  With equal ratios the lift
-    bound is checked on the recursive energy, polished or not.  A stage's
-    points are the image cloud of the previous stage's, so a raw stage j
-    keeps stage 0's words and j lifts; a polished stage decodes the words it
-    searches on.  No stage's config is read here.
+    (Fractal.shared_linear_part) cross_j is drawn from one
+    _shared_lift_crosses generator per chain, which forms the
+    translation-difference clouds of stage 0 on its first draw and advances
+    them by one stage per draw; otherwise it comes from one _lift_cross pass
+    over the images.  With equal ratios the lift bound is checked on the
+    recursive energy, polished or not.  A stage's points are the image cloud
+    of the previous stage's, so a raw stage j keeps stage 0's words and j
+    lifts; a polished stage decodes the words it searches on.  No stage's
+    config is read here.
     """
     opts = opts if opts is not None else SearchOptions()
     M = len(fractal.maps)
@@ -802,15 +804,16 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     energy, sep2 = pair
     mesh = _Mesh(fractal)
     r2 = min(fractal.ratios) ** 2
-    base = pts
     linear = None if polish else fractal.shared_linear_part
-    translations = np.stack([m.translation for m in fractal.maps])
+    if linear is not None:
+        translations = np.stack([m.translation for m in fractal.maps])
+        shared = _shared_lift_crosses(pts, linear, translations, s)
     for j in range(1, k + 1):
         n_prev = pts.shape[0]
         # stage sizes are set by n0 and k, not by the cloud budget
         pts = _image_cloud(fractal, pts, 1, math.inf)
         if linear is not None:
-            cross, cross_sep2 = _shared_lift_cross(base, linear, translations, j, s)
+            cross, cross_sep2 = next(shared)
         elif fractal.equal_ratios or not polish:
             cross, cross_sep2 = _lift_cross(np.split(pts, M), s)
         if fractal.equal_ratios or not polish:

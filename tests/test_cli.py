@@ -524,6 +524,43 @@ def test_exit_code_domain(tmp_path, capsys):
         assert _last_json(capsys)["error"]["type"] == "DomainError"
 
 
+_TWO_MAPS = [{"ratio": 0.3, "translation": [0.0]}, {"ratio": 0.3, "translation": [0.7]}]
+
+
+@pytest.mark.parametrize("fractal, message", [
+    ({"ambient_dim": 1, "maps": [{"translation": [0.0]}] + _TWO_MAPS[1:]},
+     r"maps\[0\] missing key 'ratio'"),
+    ({"ambient_dim": 1, "maps": [{"ratio": 0.3}] + _TWO_MAPS[1:]},
+     r"maps\[0\] missing key 'translation'"),
+    ({"ambient_dim": 1, "maps": 5}, "maps must be a list"),
+    ({"ambient_dim": 1, "maps": [0.3] + _TWO_MAPS[1:]}, r"maps\[0\] must be an object"),
+    ({"ambient_dim": 1, "maps": [{"ratio": "a third", "translation": [0.0]}] + _TWO_MAPS[1:]},
+     r"cannot read maps\[0\]\.ratio"),
+    ({"ambient_dim": 1, "maps": _TWO_MAPS, "sigma": "wide"}, "cannot read sigma"),
+    ({"ambient_dim": 1.5, "maps": _TWO_MAPS}, "ambient_dim must be a positive integer"),
+    ({"ambient_dim": 1, "maps": _TWO_MAPS[:1] + [{"ratio": 0.3, "translation": [1e999]}]},
+     r"maps\[1\]\.translation = \[inf\] is not finite"),
+    ({"ambient_dim": 2, "maps": [{"ratio": 0.3, "rotation": [1.0, 0.0, 0.0],
+                                  "translation": [0.0, 0.0]}]},
+     r"cannot read maps\[0\]\.rotation"),
+    ({"ambient_dim": 2, "maps": [{"ratio": 0.3, "translation": [0.0]}]},
+     r"cannot read maps\[0\]\.translation"),
+    ("uniform(2.5, 0.1)", "needs an integer M"),
+    ("cantor(a third)", "not a number"),
+])
+def test_malformed_fractals_are_domain_errors(fractal, message, tmp_path, capsys):
+    if isinstance(fractal, dict):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(fractal))
+        fractal = str(path)
+    code = rf.main(["minimize", "--fractal", fractal, "--s", "3", "--n", "4",
+                    "--out", str(tmp_path / "out")])
+    assert code == 5
+    error = _last_json(capsys)["error"]
+    assert error["type"] == "DomainError"
+    assert re.search(message, error["message"]), error["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["minimize", "--fractal", "cantor(1/3)", "--s", "nan", "--n", "4"],
     ["minimize", "--fractal", "cantor(1/3)", "--s", "1/0", "--n", "4"],
@@ -555,6 +592,51 @@ def test_config_numbers_json_cannot_hold_are_usage_errors():
     with pytest.raises(rf.UsageError, match="rejected: .*int64"):
         rf.ExperimentConfig.from_dict(
             {"fractal": "cantor(1/3)", "s": np.int64(3), "experiment": "gap"})
+
+
+def test_every_call_builds_a_new_parser():
+    assert rf.cli.build_parser() is not rf.cli.build_parser()
+
+
+_REUSED = (
+    ["minimize", "--fractal", "cantor(1/3)", "--s", "3", "--n", "8", "--seed", "2"],
+    ["geometric-limit", "--fractal", "cantor-dust-2d(1/4)", "--s", "4", "--n0", "4",
+     "--k-max", "3", "--no-polish"],
+    ["minimize", "--fractal", "cantor(1/3)", "--n", "8"],  # no --s: usage error
+    ["--help"],
+)
+
+
+def test_repeated_main_calls_in_one_process_match_separate_runs(tmp_path):
+    # one interpreter reuses main's parser and the loaded fractals across
+    # calls, including after a usage error and --help
+    calls = [argv + ["--out", str(tmp_path / "one" / str(i))]
+             for i, argv in enumerate(_REUSED + _REUSED[:1])]
+    script = ("import contextlib, io, json, sys\n"
+              "from rieszfrac import cli\n"
+              "runs = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        runs.append([cli.main(argv), out.getvalue()])\n"
+              "print(json.dumps(runs))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rf.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    together = json.loads(proc.stdout)
+    for i, argv in enumerate(_REUSED):
+        out = tmp_path / "apart" / str(i)
+        apart = subprocess.run([sys.executable, "-m", "rieszfrac"] + argv + ["--out", str(out)],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert together[i] == [apart.returncode, apart.stdout], argv
+        for again in {i, len(_REUSED)} if i == 0 else {i}:
+            one = tmp_path / "one" / str(again)
+            assert os.path.isdir(out) == os.path.isdir(one), argv
+            if os.path.isdir(out):
+                assert _read_files(one) == _read_files(out), argv
+    assert [code for code, _ in together] == [0, 0, 2, 0, 0]
+    assert together[0][1] == together[-1][1] and "usage:" in together[3][1]
 
 
 def test_help_exits_cleanly(capsys):

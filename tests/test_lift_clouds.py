@@ -2,9 +2,12 @@
 
 When every map shares one linear part A, the cross term of raw stage j is a
 weighted kernel sum between the distinct base differences A^j (x0 - y0) and
-the offsets tau_0 + sum A^i tau_i (energy._shared_lift_cross).  These tests
-check it against the direct pass over the images (energy._lift_cross), check
-which chains take which route, and run the chain to N = 65,536.
+the offsets tau_0 + sum A^i tau_i.  One energy._shared_lift_crosses
+generator per chain forms the clouds once and yields the stages in order.
+These tests check every stage it yields bit for bit against the reference
+below, which forms stage j from scratch, and against the direct pass over
+the images (energy._lift_cross); they check which chains take which route,
+and run the chain to N = 65,536.
 """
 
 import math
@@ -12,11 +15,59 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rieszfrac as rf
-from rieszfrac.energy import _lift_cross, _shared_lift_cross
+from rieszfrac.energy import CLOUD_BLOCK, _lift_cross, _shared_lift_crosses
+from rieszfrac.fractal import _sq_dists
+
+
+def _reference_shared_lift_cross(base, linear, translations, j, s):
+    """(cross energy, least squared distance) of raw lift stage j >= 1, every
+    cloud formed from scratch: the per-stage form the generator replaces."""
+    p = base.shape[1]
+    taus, mult = np.unique((translations[:, None] - translations[None, :]).reshape(-1, p),
+                           axis=0, return_counts=True)
+    if mult[~taus.any(axis=1)].sum() > translations.shape[0]:
+        raise rf.SingularConfigurationError("images of the lift share a point")
+    mult = mult.astype(float)
+    T = taus.shape[0]
+    half = taus[np.arange(T), np.argmax(taus != 0.0, axis=1)] > 0.0
+    powers = [taus]  # A^i tau for every group, i < j
+    for _ in range(1, j):
+        powers.append(np.einsum("ij,nj->ni", linear, powers[-1]))
+    diffs, counts = np.unique((base[:, None] - base[None, :]).reshape(-1, p),
+                              axis=0, return_counts=True)
+    for _ in range(j):
+        diffs = np.einsum("ij,nj->ni", linear, diffs)
+    low, w_low = taus[half], mult[half]
+    h = 1
+    while h < j and diffs.shape[0] * low.shape[0] * T <= CLOUD_BLOCK:
+        low = (low[:, None] + powers[h][None, :]).reshape(-1, p)
+        w_low = np.outer(w_low, mult).reshape(-1)
+        h += 1
+    chunk = max(1, CLOUD_BLOCK // (diffs.shape[0] * low.shape[0]))
+    n_high = T ** (j - h)
+    total = 0.0
+    least = math.inf
+    for q0 in range(0, n_high, chunk):
+        idx = np.arange(q0, min(n_high, q0 + chunk))
+        high = np.zeros((idx.shape[0], p))
+        w_high = np.ones(idx.shape[0])
+        for i in range(h, j):
+            idx, digit = np.divmod(idx, T)
+            high += powers[i][digit]
+            w_high *= mult[digit]
+        d2 = _sq_dists(diffs, (high[:, None] + low[None, :]).reshape(-1, p))
+        least = min(least, float(d2.min()))
+        if least == 0.0:
+            raise rf.SingularConfigurationError("images of the lift share a point")
+        with np.errstate(over="ignore"):
+            np.power(d2, -0.5 * s, out=d2)
+        d2 *= np.outer(w_high, w_low).reshape(-1)
+        total += float(np.sum(d2.sum(axis=1) * counts))
+    return 2.0 * total, least
 
 
 def _rotation(p, angle, flip):
@@ -51,35 +102,49 @@ def _shared_cases(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(_shared_cases())
-def test_shared_lift_cross_matches_the_direct_pass(case):
+def test_shared_lift_crosses_match_the_reference_and_the_direct_pass(case):
     maps, base, k, s = case
     linear = maps[0].ratio * maps[0].rotation
     translations = np.stack([m.translation for m in maps])
+    stages = _shared_lift_crosses(base, linear, translations, s)
     pts = base
     for j in range(1, k + 1):
         pts = np.concatenate([m.apply(pts) for m in maps])
+        try:
+            expected = _reference_shared_lift_cross(base, linear, translations, j, s)
+        except rf.SingularConfigurationError:
+            with pytest.raises(rf.SingularConfigurationError, match="images of the lift"):
+                next(stages)
+            return
+        cross, least = next(stages)
+        assert (cross.hex(), least.hex()) == (expected[0].hex(), expected[1].hex())
         try:
             direct, direct_least = _lift_cross(np.split(pts, len(maps)), s)
         except rf.SingularConfigurationError:
             direct_least = 0.0
         # well separated images only: near coincidences lose digits in both
         # routes (exact ones are checked below)
-        assume(direct_least >= 1e-3)
-        cross, least = _shared_lift_cross(base, linear, translations, j, s)
-        assert abs(cross - direct) <= 1e-12 * direct
-        assert abs(least - direct_least) <= 1e-12 * direct_least
+        if direct_least >= 1e-3:
+            assert abs(cross - direct) <= 1e-12 * direct
+            assert abs(least - direct_least) <= 1e-12 * direct_least
 
 
 @pytest.mark.parametrize("base, translations, j", [
     ([[0.0], [1.0]], [[0.0], [0.5]], 1),  # 1/2 lies in both images
-    ([[0.0], [1.0]], [[0.0], [0.5]], 2),  # again one lift later
+    ([[0.0], [1.0]], [[0.0], [0.25]], 2),  # distinct at stage 1, 1/4 shared at stage 2
     ([[0.0], [0.3]], [[0.2], [0.2]], 1),  # two maps with one translation
 ])
-def test_shared_lift_cross_rejects_images_that_share_a_point(base, translations, j):
-    with pytest.raises(rf.SingularConfigurationError, match="images of the lift"):
-        _shared_lift_cross(np.array(base), np.array([[0.5]]), np.array(translations), j, 3.0)
+def test_shared_lift_crosses_reject_images_that_share_a_point(base, translations, j):
+    base, linear, translations = np.array(base), np.array([[0.5]]), np.array(translations)
+    stages = _shared_lift_crosses(base, linear, translations, 3.0)
+    for i in range(1, j):
+        assert next(stages) == _reference_shared_lift_cross(base, linear, translations, i, 3.0)
+    for draw in (lambda: next(stages),
+                 lambda: _reference_shared_lift_cross(base, linear, translations, j, 3.0)):
+        with pytest.raises(rf.SingularConfigurationError, match="images of the lift"):
+            draw()
 
 
 def _count_lift_cross(monkeypatch):
@@ -146,14 +211,17 @@ def test_geometric_limit_reaches_65536_points_within_the_tail_bound(monkeypatch,
     peaks = []
 
     def traced(*args):
-        tracemalloc.start()
-        try:
-            return _shared_lift_cross(*args)
-        finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+        stages = _shared_lift_crosses(*args)
+        while True:
+            tracemalloc.start()
+            try:
+                stage = next(stages)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            yield stage
 
-    monkeypatch.setattr(rf.minimize, "_shared_lift_cross", traced)
+    monkeypatch.setattr(rf.minimize, "_shared_lift_crosses", traced)
     rep = rf.geometric_limit(rf.cantor(ratio), 3.0, n0=2, k_max=15, polish=False)
     assert rep.n_values[-1] == 65536
     for j in range(15):
