@@ -60,9 +60,7 @@ from .serialize import configuration_to_csv, fmt_float, read_table, write_table
 _ENERGY_NOTE = "energy convention: ordered pairs, sum over i != j of |xi - xj|^(-s)"
 
 
-@functools.cache
 def _load_schema() -> dict:
-    """The bundled experiment schema, read on the first call; treat as read-only."""
     ref = importlib.resources.files("rieszfrac") / "schemas" / "experiment.schema.json"
     return json.loads(ref.read_text(encoding="utf-8"))
 

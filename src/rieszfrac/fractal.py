@@ -569,53 +569,14 @@ def fractal_from_spec(doc: dict) -> Fractal:
     return make_fractal(maps, label=str(doc.get("label", "")), **bounds)
 
 
-# load_fractal's catalog names and spec dicts (as sorted JSON), each with the
-# warnings its build raised, oldest first; file paths are read every time
-_LOADED = {}
-_LOADED_MAX = 16
-
-
 def load_fractal(source) -> Fractal:
-    """Accept a Fractal, a catalog name, a JSON file path, or a spec dict.
-
-    Catalog names and spec dicts are built once per process and kept in a
-    cache of _LOADED_MAX entries; a repeated load returns the same Fractal
-    (frozen, with read-only arrays) and raises again every warning its build
-    raised.
-    """
+    """Accept a Fractal, a catalog name, a JSON file path, or a spec dict."""
     if isinstance(source, Fractal):
         return source
     if isinstance(source, dict):
-        try:
-            key = json.dumps(source, sort_keys=True)
-        except (TypeError, ValueError):  # no JSON document: nothing to key it by
-            return fractal_from_spec(source)
-        build = lambda: fractal_from_spec(source)
-    else:
-        key = str(source)
-        if not _CATALOG_RE.match(key):
-            with open(key, "r", encoding="utf-8") as handle:
-                return fractal_from_spec(json.load(handle))
-        build = lambda: from_catalog(key)
-    if key not in _LOADED:
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                fractal = build()
-        except Exception:
-            _warn_again(caught)
-            raise
-        if len(_LOADED) >= _LOADED_MAX:
-            del _LOADED[next(iter(_LOADED))]
-        _LOADED[key] = fractal, tuple(caught)
-    fractal, caught = _LOADED[key]
-    _warn_again(caught)
-    return fractal
-
-
-def _warn_again(caught):
-    """Raise recorded warnings as warnings.warn(..., stacklevel=2) raised them
-    in this module: same text, place and once-per-place registry."""
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, module=__name__,
-                               registry=globals().setdefault("__warningregistry__", {}))
+        return fractal_from_spec(source)
+    text = str(source)
+    if _CATALOG_RE.match(text):
+        return from_catalog(text)
+    with open(text, "r", encoding="utf-8") as handle:
+        return fractal_from_spec(json.load(handle))

@@ -608,8 +608,8 @@ _REUSED = (
 
 
 def test_repeated_main_calls_in_one_process_match_separate_runs(tmp_path):
-    # one interpreter reuses main's parser and the loaded fractals across
-    # calls, including after a usage error and --help
+    # one interpreter reuses main's parser across calls, including after a
+    # usage error and --help
     calls = [argv + ["--out", str(tmp_path / "one" / str(i))]
              for i, argv in enumerate(_REUSED + _REUSED[:1])]
     script = ("import contextlib, io, json, sys\n"
