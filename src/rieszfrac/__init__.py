@@ -33,7 +33,6 @@ from .energy import (
     cross_energy,
     fractal_covering_radius,
     min_pairwise_distance,
-    min_point_energy,
     normalized_energy,
     point_energy_sums,
     riesz_energy,
@@ -50,7 +49,6 @@ from .errors import (
     UsageError,
 )
 from .fractal import (
-    CellAddress,
     Fractal,
     Similitude,
     anchor_cloud,
@@ -79,7 +77,7 @@ from .minimize import (
     lift_chain,
     local_search_minimize,
 )
-from .serialize import configuration_from_csv, configuration_to_csv
+from .serialize import configuration_to_csv
 
 __version__ = "0.1.0"
 
@@ -93,18 +91,18 @@ __all__ = [
     "ExperimentConfig", "emit_plot_data", "main", "run",
     "ENERGY_CONVENTION", "Configuration", "EnergyRecord", "covering_radius",
     "cross_energy", "fractal_covering_radius", "min_pairwise_distance",
-    "min_point_energy", "normalized_energy", "point_energy_sums",
+    "normalized_energy", "point_energy_sums",
     "riesz_energy",
     "ClassificationError", "DegenerateFractalWarning", "DomainError",
     "HypothesisError", "ResourceBudgetError", "RieszFracError",
     "SeparationWarning", "SingularConfigurationError", "UsageError",
-    "CellAddress", "Fractal", "Similitude", "anchor_cloud", "cantor",
+    "Fractal", "Similitude", "anchor_cloud", "cantor",
     "cantor_dust_2d", "cell_anchor", "cell_diameter", "estimate_diameter",
     "first_level_cloud_distance", "fractal_from_spec", "from_catalog",
     "load_fractal", "make_fractal",
     "moran_dimension", "parse_number", "separation_sigma", "uniform_line",
     "MinimizeResult", "PackingResult", "SearchOptions", "best_packing",
     "exhaustive_minimize", "lift", "lift_chain", "local_search_minimize",
-    "configuration_from_csv", "configuration_to_csv",
+    "configuration_to_csv",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from .errors import (
     DomainError,
     HypothesisError,
 )
-from .fractal import CellAddress, Fractal, anchor_cloud, cell_diameter
+from .fractal import Fractal, _word_text, anchor_cloud, cell_diameter
 from .minimize import (
     SearchOptions,
     _auto_depth,
@@ -432,15 +432,15 @@ def empirical_cell_measure(fractal: Fractal, config, depth: int) -> CellMeasureR
     pts = config.points
     addrs = config.addresses
     for i in range(config.n):
-        if addrs is not None and len(addrs[i].word) >= depth:
-            counts[addrs[i].word[:depth]] += 1
+        if addrs is not None and len(addrs[i]) >= depth:
+            counts[addrs[i][:depth]] += 1
             continue
         if anchors is None:
             anchors = anchor_cloud(fractal, depth)
         dist = np.sqrt(np.sum((anchors - pts[i]) ** 2, axis=1))
         j = int(np.argmin(dist))
         w = words[j]
-        if dist[j] > cell_diameter(fractal, CellAddress(w)) * (1.0 + 1e-9) + 1e-12:
+        if dist[j] > cell_diameter(fractal, w) * (1.0 + 1e-9) + 1e-12:
             raise ClassificationError(
                 f"point {pts[i].tolist()} is not within any depth-{depth} cell"
             )
@@ -451,7 +451,7 @@ def empirical_cell_measure(fractal: Fractal, config, depth: int) -> CellMeasureR
         tgt = 1.0
         for m in w:
             tgt *= fractal.ratios[m - 1] ** d
-        key = str(CellAddress(w))
+        key = _word_text(w)
         counted[key], empirical[key], target[key] = counts[w], counts[w] / config.n, tgt
     max_dev = max(abs(empirical[key] - target[key]) for key in target)
     return CellMeasureReport(depth, counted, empirical, target, max_dev)

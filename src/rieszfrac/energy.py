@@ -39,7 +39,8 @@ CLOUD_BLOCK = 1 << 16
 class Configuration:
     """N points in R^p, optionally tagged with the cells they represent.
 
-    An address names the cell a point stands for; the point itself may be any
+    An address is the word of the cell a point stands for, a tuple of 1-based
+    map indices (() is the whole set); the point itself may be any
     representative inside that cell (anchors, cell corners, ...).
     """
 
@@ -58,7 +59,7 @@ class Configuration:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.addresses is not None:
-            addrs = tuple(self.addresses)
+            addrs = tuple(tuple(map(int, word)) for word in self.addresses)
             if len(addrs) != pts.shape[0]:
                 raise DomainError("need one address per point")
             object.__setattr__(self, "addresses", addrs)
@@ -144,11 +145,6 @@ class EnergyRecord:
     energy: float
     normalized: float
     d: float
-
-    @classmethod
-    def from_config(cls, config, s: float, d: float) -> "EnergyRecord":
-        pts = _as_points(config)
-        return cls.from_energy(riesz_energy(pts, s), pts.shape[0], s, d)
 
     @classmethod
     def from_energy(cls, energy: float, n: int, s: float, d: float) -> "EnergyRecord":
@@ -306,24 +302,6 @@ def _finite_row_sums(G: np.ndarray):
         with np.errstate(over="ignore"):
             np.where(inf, 0.0, block).sum(axis=1, out=sums[r0 : r0 + block.shape[0]])
     return sums, counts
-
-
-def min_point_energy(config, candidates, s: float):
-    """(best point, value): the candidate with least kernel sum to the config.
-
-    Ties break toward the lowest candidate index; if every candidate collides
-    with a configuration point the problem is singular.
-    """
-    if s <= 0.0:
-        raise DomainError(f"exponent s must be positive, got {s}")
-    cands = _as_points(candidates)
-    if cands.shape[0] < 1:
-        raise DomainError("need at least one candidate")
-    values = point_energy_sums(cands, config, s)
-    idx = int(np.argmin(values))
-    if math.isinf(values[idx]):
-        raise SingularConfigurationError("every candidate coincides with a config point")
-    return np.array(cands[idx]), float(values[idx])
 
 
 def min_pairwise_distance(config) -> float:

@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     ResourceBudgetError,
     SeparationWarning,
+    UsageError,
 )
 
 ORTHOGONALITY_TOL = 1e-10
@@ -50,6 +51,8 @@ class Similitude:
             raise DomainError("rotation must be a square matrix")
         if tra.shape[0] != rot.shape[0]:
             raise DomainError("translation length must match rotation size")
+        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(tra))):
+            raise DomainError("rotation and translation must be finite")
         ratio = float(self.ratio)
         if not (0.0 < ratio < 1.0):
             raise DomainError(f"contraction ratio must lie in (0, 1), got {ratio}")
@@ -85,33 +88,12 @@ class Similitude:
         return np.linalg.solve(np.eye(p) - self.ratio * self.rotation, self.translation)
 
 
-@dataclass(frozen=True)
-class CellAddress:
-    """Word (m_1, ..., m_l) of 1-based map indices; the empty word is the whole set."""
+def _word_text(word: tuple) -> str:
+    """Dotted text form of a cell word: "1.2.1", "" for the empty word.
 
-    word: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(map(int, self.word)))
-
-    def __len__(self):
-        return len(self.word)
-
-    def __str__(self):
-        return ".".join(str(m) for m in self.word)
-
-    @classmethod
-    def parse(cls, text: str) -> "CellAddress":
-        text = text.strip()
-        if not text:
-            return cls(())
-        return cls(tuple(int(tok) for tok in text.split(".")))
-
-    def child(self, m: int) -> "CellAddress":
-        return CellAddress(self.word + (int(m),))
-
-    def prefix(self, length: int) -> "CellAddress":
-        return CellAddress(self.word[:length])
+    Private so that bench/spans.py, which wraps every public function of
+    each layer, does not record a span per address written."""
+    return ".".join(map(str, word))
 
 
 def moran_dimension(ratios) -> float:
@@ -296,25 +278,25 @@ def make_fractal(maps, label="", diameter=None, sigma=None) -> Fractal:
     return frame
 
 
-def cell_anchor(fractal: Fractal, address: CellAddress) -> np.ndarray:
+def cell_anchor(fractal: Fractal, word: tuple) -> np.ndarray:
     """Representative point psi_{m_1} o ... o psi_{m_l}(b) of a cell.
 
     The base anchor b is the fixed point of the first map, which lies in
-    the attractor, so the returned point lies within cell_diameter(address)
+    the attractor, so the returned point lies within cell_diameter(word)
     of every point of the cell.
     """
     M = len(fractal.maps)
-    for m in address.word:
+    for m in word:
         if not 1 <= m <= M:
             raise DomainError(f"address index {m} outside 1..{M}")
-    return fractal.apply_word(address.word, fractal.base_anchor())
+    return fractal.apply_word(word, fractal.base_anchor())
 
 
-def cell_diameter(fractal: Fractal, address: CellAddress) -> float:
+def cell_diameter(fractal: Fractal, word: tuple) -> float:
     """Diameter bound of the cell: the in-order ratio product times diameter."""
     prod = 1.0
     M = len(fractal.maps)
-    for m in address.word:
+    for m in word:
         if not 1 <= m <= M:
             raise DomainError(f"address index {m} outside 1..{M}")
         prod *= fractal.maps[m - 1].ratio
@@ -570,7 +552,8 @@ def fractal_from_spec(doc: dict) -> Fractal:
 
 
 def load_fractal(source) -> Fractal:
-    """Accept a Fractal, a catalog name, a JSON file path, or a spec dict."""
+    """Accept a Fractal, a catalog name, a JSON file path, or a spec dict;
+    a path that is missing, unreadable or not JSON raises UsageError."""
     if isinstance(source, Fractal):
         return source
     if isinstance(source, dict):
@@ -578,5 +561,11 @@ def load_fractal(source) -> Fractal:
     text = str(source)
     if _CATALOG_RE.match(text):
         return from_catalog(text)
-    with open(text, "r", encoding="utf-8") as handle:
-        return fractal_from_spec(json.load(handle))
+    try:
+        with open(text, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"fractal {text!r} is no catalog name and no readable file: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"fractal file {text} is not valid JSON: {exc}") from exc
+    return fractal_from_spec(doc)

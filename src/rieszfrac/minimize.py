@@ -3,12 +3,12 @@
 Candidate points are symbolic: a point is psi_w(f_b), the image of the fixed
 point of map b under the cell word w.  At any depth this mesh contains every
 cell corner (e.g. both endpoints of each Cantor cell), so optima such as
-{0, 1} are exactly representable.  Inside this module a point's only label
-is its cell word w, a tuple of map indices; a MinimizeResult turns the words
-into CellAddress objects when its config is first read.  exhaustive_minimize
-enumerates subsets of the plain base anchors psi_w(b1) (the base-1 rows of
-the mesh) by default, matching the certified-oracle contract; pass
-mesh="endpoint" to certify over the full symbolic mesh.
+{0, 1} are exactly representable.  A point's only label is its cell word
+w, a tuple of map indices, which is also its address in the config a
+MinimizeResult builds.  exhaustive_minimize enumerates subsets of the plain
+base anchors psi_w(b1) (the base-1 rows of the mesh) by default, matching
+the certified-oracle contract; pass mesh="endpoint" to certify over the
+full symbolic mesh.
 local_search_minimize is the one entry that reads SearchOptions.strategy.
 
 The local search scores single-point moves sweep by sweep (_sweep).  For
@@ -49,7 +49,7 @@ from .errors import (
     ResourceBudgetError,
     SingularConfigurationError,
 )
-from .fractal import CellAddress, Fractal, _image_cloud, _sq_dists
+from .fractal import Fractal, _image_cloud, _sq_dists
 from .parallel import parallel_map, restart_indices
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
@@ -122,7 +122,7 @@ class MinimizeResult:
     search has 0 lifts).  min_distance (nan for one point) comes from the
     pass that sums the energy, or for a raw lift stage from the recursion
     of lift_chain, whose cross term is `cross` (None for every other
-    result).  config, the points with one CellAddress per decoded word
+    result).  config, the points addressed by their decoded words
     (_row_label), is built on its first read and kept.
     """
 
@@ -143,8 +143,7 @@ class MinimizeResult:
         if self.lifts:
             M = round((n // len(words)) ** (1.0 / self.lifts))  # n = len(words) * M**lifts
             words = (_row_label(row, M, self.lifts, self.words) for row in range(n))
-        return Configuration(self.points, addresses=tuple(CellAddress(w) for w in words),
-                             fractal_label=self.fractal_label)
+        return Configuration(self.points, addresses=words, fractal_label=self.fractal_label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -731,8 +730,7 @@ def lift(fractal: Fractal, config: Configuration, s: float = None) -> Configurat
         raise SingularConfigurationError("lift produced coincident points (maps overlap)")
     addrs = None
     if config.addresses is not None:
-        words = [a.word for a in config.addresses]
-        addrs = tuple(CellAddress(_row_label(row, M, 1, words)) for row in range(pts.shape[0]))
+        addrs = [_row_label(row, M, 1, config.addresses) for row in range(pts.shape[0])]
     out = Configuration(pts, addresses=addrs, fractal_label=config.fractal_label)
     if s is not None and M >= 2 and fractal.equal_ratios and fractal.sigma > 0.0:
         energy = riesz_energy(config, s)
@@ -874,7 +872,7 @@ def best_packing(fractal: Fractal, N: int, depth: int,
         strategy = "greedy-exchange"
     config = Configuration(
         coords[chosen],
-        addresses=tuple(CellAddress(w) for w in words(chosen)),
+        addresses=words(chosen),
         fractal_label=fractal.label,
     )
     return PackingResult(config, best_delta, certified, strategy)

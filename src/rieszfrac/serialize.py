@@ -8,8 +8,7 @@ import math
 import numpy as np
 
 from .energy import Configuration
-from .errors import DomainError
-from .fractal import CellAddress
+from .fractal import _word_text
 
 
 def fmt_float(x) -> str:
@@ -62,31 +61,10 @@ def configuration_to_csv(config: Configuration, path):
     for i in range(config.n):
         row = [fmt_float(v) for v in config.points[i]]
         if config.addresses is not None:
-            row.append(str(config.addresses[i]))
+            row.append(_word_text(config.addresses[i]))
         rows.append(row)
     comment = (
         f"point configuration ({config.fractal_label or 'unlabeled'}); "
         "riesz energies use the ordered-pair convention (i != j counted twice)"
     )
     write_table(path, header, rows, comment=comment)
-
-
-def configuration_from_csv(path, fractal_label="") -> Configuration:
-    header, rows = read_table(path)
-    if not header:
-        raise DomainError(f"empty configuration file {path}")
-    has_addr = header[-1] == "address"
-    coord_cols = header[:-1] if has_addr else header
-    if not coord_cols or any(not c.startswith("x") for c in coord_cols):
-        raise DomainError(f"unrecognized configuration columns {header}")
-    pts = []
-    addrs = [] if has_addr else None
-    for row in rows:
-        pts.append([float(tok) for tok in row[: len(coord_cols)]])
-        if has_addr:
-            addrs.append(CellAddress.parse(row[len(coord_cols)]))
-    return Configuration(
-        np.array(pts, dtype=float),
-        addresses=tuple(addrs) if has_addr else None,
-        fractal_label=fractal_label,
-    )

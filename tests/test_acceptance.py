@@ -212,12 +212,16 @@ def test_criterion_11_thread_count_reproducibility(tmp_path):
     search = {"fractal": "cantor(1/3)", "s": 3.0, "experiment": "minimize",
               "n": 256, "seed": 0, "restarts": 3}
 
+    # the thread pools numpy's BLAS and any OpenMP code could size from the
+    # environment; the package itself reads no environment variable
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
     def run_with(cfg, out, threads=None, one_cpu=False):
         cfg_path = tmp_path / f"{out}.json"
         cfg_path.write_text(json.dumps(cfg))
         env = dict(os.environ)
         if threads is not None:
-            env["RIESZ_THREADS"] = str(threads)
+            env.update({var: str(threads) for var in thread_vars})
         pin = None
         # without sched_setaffinity the library sees one usable core anyway
         if one_cpu and hasattr(os, "sched_setaffinity"):
@@ -246,5 +250,5 @@ def test_criterion_11_thread_count_reproducibility(tmp_path):
     for name in one_cpu:
         assert one_cpu[name] == all_cpus[name], f"{name} differs across CPU affinity"
     print(f"C11 PASS: {len(files_1)} outputs byte-identical for "
-          f"RIESZ_THREADS=1 vs 8 and across reruns, {len(one_cpu)} for one CPU "
+          f"BLAS/OpenMP threads 1 vs 8 and across reruns, {len(one_cpu)} for one CPU "
           "vs all CPUs")

@@ -359,8 +359,7 @@ def test_cell_measure_endpoints(cantor13):
 
 def test_cell_measure_prefers_addresses(cantor13):
     # both points carry depth-2 addresses, so geometry is ignored
-    addrs = (rf.CellAddress.parse("1.1"), rf.CellAddress.parse("2.2"))
-    cfg = rf.Configuration(np.array([0.0, 1.0]), addresses=addrs)
+    cfg = rf.Configuration(np.array([0.0, 1.0]), addresses=((1, 1), (2, 2)))
     rep = rf.empirical_cell_measure(cantor13, cfg, depth=2)
     assert rep.counts["1.1"] == 1 and rep.counts["2.2"] == 1
     assert rep.counts["1.2"] == 0 and rep.counts["2.1"] == 0

@@ -198,22 +198,46 @@ def test_geometric_limit_artifacts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--no-polish"], []])
-def test_geometric_limit_builds_no_cell_address(monkeypatch, tmp_path, capsys, flags):
+def test_geometric_limit_builds_no_configuration(monkeypatch, tmp_path, capsys, flags):
     made = []
-    real = rf.minimize.CellAddress
+    real = rf.Configuration.__post_init__
 
-    def counted(word):
-        made.append(word)
-        return real(word)
+    def counted(config):
+        real(config)
+        made.append(config.n)
 
-    monkeypatch.setattr(rf.minimize, "CellAddress", counted)
+    monkeypatch.setattr(rf.Configuration, "__post_init__", counted)
     assert rf.main(["geometric-limit", "--fractal", "cantor(1/3)", "--s", "3", "--n0", "2",
                     "--k-max", "4", "--seed", "1", "--out", str(tmp_path)] + flags) == 0
     capsys.readouterr()
     assert made == []
-    # the count sees the addresses a config read builds
+    # the count sees the configuration a config read builds
     stage = rf.lift_chain(rf.cantor("1/3"), 3.0, 2, 2, polish=not flags)[-1]
-    assert stage.config.n == 8 and len(made) == 8
+    assert stage.config.n == 8 and made == [8]
+
+
+# --------------------------------------------------------------- cell addresses
+
+def test_cell_addresses_in_artifacts(tmp_path, capsys):
+    # the exact dotted words these runs write; artifacts are compared byte
+    # for byte across versions, so how a word is written must not drift
+    c = ["--fractal", "cantor(1/3)"]
+    for argv in (["minimize", *c, "--s", "3", "--n", "6", "--seed", "1"],
+                 ["pack", *c, "--n", "5"],
+                 ["weakstar", *c, "--s", "3", "--n", "8", "--measure-depth", "3", "--seed", "1"]):
+        assert rf.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+    capsys.readouterr()
+
+    def column(name, key):
+        header, rows = rf.serialize.read_table(os.path.join(tmp_path, name))
+        return [row[header.index(key)] for row in rows]
+
+    assert column("minimize/minimize_points.csv", "address") == [
+        "1.1.1", "2.2.2", "1.2.2", "2.1.1", "2.2.1", "1.1.2"]
+    assert column("pack/packing_points.csv", "address") == [
+        "1.1.1", "1.2.1", "2.1.1", "2.1.2", "2.2.1"]
+    assert column("weakstar/weakstar.csv", "cell") == [
+        "1.1.1", "1.1.2", "1.2.1", "1.2.2", "2.1.1", "2.1.2", "2.2.1", "2.2.2"]
 
 
 # -------------------------------------------------------------------- g-curve
@@ -559,6 +583,23 @@ def test_malformed_fractals_are_domain_errors(fractal, message, tmp_path, capsys
     error = _last_json(capsys)["error"]
     assert error["type"] == "DomainError"
     assert re.search(message, error["message"]), error["message"]
+
+
+@pytest.mark.parametrize("content", [None, '{"ambient_dim": 1, "maps": [', b"\xff\xfe"],
+                         ids=["missing", "truncated", "not-utf8"])
+@pytest.mark.parametrize("command", [["gap", "--s", "3"], ["dimension"]], ids=["gap", "dimension"])
+def test_unreadable_fractal_files_are_usage_errors(command, content, tmp_path, capsys):
+    path = tmp_path / "spec.json"  # missing, truncated JSON, not UTF-8
+    if content is not None:
+        (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    out = tmp_path / "out"
+    argv = [command[0], "--fractal", str(path), *command[1:]]
+    if command[0] != "dimension":
+        argv += ["--out", str(out)]
+    assert rf.main(argv) == 2
+    error = _last_json(capsys)["error"]
+    assert error["type"] == "UsageError" and str(path) in error["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -239,7 +239,7 @@ def test_normalized_energy_validation():
 
 
 def test_energy_record_fields():
-    rec = rf.EnergyRecord.from_config([0.0, 1.0], s=2.0, d=1.0)
+    rec = rf.EnergyRecord.from_energy(rf.riesz_energy([0.0, 1.0], 2.0), 2, s=2.0, d=1.0)
     assert rec.N == 2
     assert rec.energy == 2.0
     assert rec.normalized == 0.25
@@ -304,32 +304,6 @@ def test_point_energy_sums_coincident_candidate_is_inf():
     assert vals[1] == 8.0
 
 
-def test_min_point_energy_examples():
-    pt, val = rf.min_point_energy([0.0, 1.0], [0.25, 0.5, 0.75], s=1.0)
-    assert val == 4.0
-    assert pt[0] == 0.5
-    pt, val = rf.min_point_energy([0.0, 1.0], [0.5], s=2.0)
-    assert val == 8.0
-
-
-def test_min_point_energy_tie_breaks_low_index():
-    # candidates 0.25 and 0.75 are mirror images, so equal value; pick first
-    pt, _ = rf.min_point_energy([0.0, 1.0], [0.25, 0.75], s=2.0)
-    assert pt[0] == 0.25
-
-
-def test_min_point_energy_all_coincident_raises():
-    with pytest.raises(rf.SingularConfigurationError):
-        rf.min_point_energy([0.0, 1.0], [0.0, 1.0], s=2.0)
-
-
-def test_min_point_energy_validation():
-    with pytest.raises(rf.DomainError):
-        rf.min_point_energy([0.0, 1.0], np.empty((0, 1)), s=2.0)
-    with pytest.raises(rf.DomainError):
-        rf.min_point_energy([0.0, 1.0], [0.5], s=-1.0)
-
-
 # ----------------------------------------------------- distances and covering
 
 def test_min_pairwise_distance():
@@ -384,12 +358,11 @@ def test_configuration_points_are_readonly():
 def test_configuration_address_count_must_match():
     with pytest.raises(rf.DomainError):
         rf.Configuration(np.array([0.0, 1.0]),
-                         addresses=(rf.CellAddress.parse("1"),))
+                         addresses=((1,),))
 
 
 def test_validate_cells(cantor13):
-    addr1 = rf.CellAddress.parse("1")
-    addr2 = rf.CellAddress.parse("2")
+    addr1, addr2 = (1,), (2,)
     good = rf.Configuration(np.array([0.0, 1.0]), addresses=(addr1, addr2))
     assert good.validate_cells(cantor13)
     # 0.5 sits in the middle gap, far outside cell 1 (= [0, 1/3])
@@ -407,20 +380,21 @@ def test_validate_cells_requires_addresses(cantor13):
 
 def test_configuration_csv_round_trip(tmp_path, rng):
     pts = rng.random((6, 2))
-    addrs = tuple(rf.CellAddress.parse("1.2") for _ in range(6))
+    addrs = [(1, 2)] * 5 + [()]
     cfg = rf.Configuration(pts, addresses=addrs, fractal_label="demo")
     path = tmp_path / "cfg.csv"
     rf.configuration_to_csv(cfg, path)
-    back = rf.configuration_from_csv(path, fractal_label="demo")
+    header, rows = rf.serialize.read_table(path)
+    assert header == ["x1", "x2", "address"]
     # 17 significant digits reload every double bit-exactly
-    assert np.array_equal(back.points, cfg.points)
-    assert back.addresses == cfg.addresses
+    assert np.array_equal([[float(v) for v in row[:2]] for row in rows], cfg.points)
+    assert [row[2] for row in rows] == ["1.2"] * 5 + [""]
 
 
 def test_configuration_csv_without_addresses(tmp_path):
     cfg = rf.Configuration(np.array([0.0, 1.0 / 3.0, 1.0]))
     path = tmp_path / "plain.csv"
     rf.configuration_to_csv(cfg, path)
-    back = rf.configuration_from_csv(path)
-    assert np.array_equal(back.points, cfg.points)
-    assert back.addresses is None
+    header, rows = rf.serialize.read_table(path)
+    assert header == ["x1"]
+    assert np.array_equal([[float(v) for v in row] for row in rows], cfg.points)

@@ -7,7 +7,6 @@ import pytest
 
 import rieszfrac as rf
 from rieszfrac import (
-    CellAddress,
     DegenerateFractalWarning,
     DomainError,
     SeparationWarning,
@@ -38,6 +37,17 @@ def test_similitude_rejects_bad_inputs():
         Similitude(0.5, np.array([[2.0]]), np.array([0.0]))
     with pytest.raises(DomainError):
         Similitude(0.5, eye, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("rotation, translation", [
+    ([[1.0]], [np.inf]),
+    ([[np.nan]], [0.0]),  # nan passes the Gram check: nan > tol is False
+    ([[1.0, 0.0], [0.0, np.inf]], [0.0, 0.0]),
+    ([[1.0, 0.0], [0.0, 1.0]], [-np.inf, np.nan]),
+])
+def test_similitude_rejects_non_finite_maps(rotation, translation):
+    with pytest.raises(DomainError, match="finite"):
+        Similitude(0.3, rotation, translation)
 
 
 def test_similitude_fixed_point():
@@ -92,13 +102,13 @@ def test_moran_dimension_degenerate_and_errors():
 
 
 def test_cell_anchor_examples(cantor13):
-    a1 = rf.cell_anchor(cantor13, CellAddress((1,)))
+    a1 = rf.cell_anchor(cantor13, (1,))
     assert abs(a1[0]) < 1e-15
 
-    a2 = rf.cell_anchor(cantor13, CellAddress((2,)))
+    a2 = rf.cell_anchor(cantor13, (2,))
     assert abs(a2[0] - 2.0 / 3.0) < 1e-15
 
-    deep = rf.cell_anchor(cantor13, CellAddress((2,) * 10))
+    deep = rf.cell_anchor(cantor13, (2,) * 10)
     assert abs(deep[0] - 1.0) < 3.0 ** (-10)
 
 
@@ -117,38 +127,37 @@ def test_cell_anchor_ternary_digit_oracle(cantor13):
     # positions with digit 2; independent of the library's map composition
     for word in [(1, 2, 2), (2, 1, 2, 1), (2, 2, 2, 2, 2), (1, 1, 1)]:
         expect = sum(2.0 * 3.0 ** -(i + 1) for i, m in enumerate(word) if m == 2)
-        got = rf.cell_anchor(cantor13, CellAddress(word))[0]
+        got = rf.cell_anchor(cantor13, word)[0]
         assert abs(got - expect) < 1e-14
 
 
 def test_cell_anchor_rejects_bad_word(cantor13):
     with pytest.raises(DomainError):
-        rf.cell_anchor(cantor13, CellAddress((3,)))
+        rf.cell_anchor(cantor13, (3,))
     with pytest.raises(DomainError):
-        rf.cell_anchor(cantor13, CellAddress((0,)))
+        rf.cell_anchor(cantor13, (0,))
 
 
 def test_cell_diameter_examples(cantor13, mixed_fractal):
-    assert rf.cell_diameter(cantor13, CellAddress((1, 2))) == pytest.approx(1.0 / 9.0, abs=1e-15)
-    assert rf.cell_diameter(cantor13, CellAddress(())) == cantor13.diameter
-    assert rf.cell_diameter(mixed_fractal, CellAddress((2, 1))) == pytest.approx(1.0 / 8.0, abs=1e-15)
+    assert rf.cell_diameter(cantor13, (1, 2)) == pytest.approx(1.0 / 9.0, abs=1e-15)
+    assert rf.cell_diameter(cantor13, ()) == cantor13.diameter
+    assert rf.cell_diameter(mixed_fractal, (2, 1)) == pytest.approx(1.0 / 8.0, abs=1e-15)
 
 
 def test_cell_diameter_multiplicative(cantor13, mixed_fractal):
     for f in (cantor13, mixed_fractal):
         w1, w2 = (1, 2), (2, 2, 1)
-        lhs = rf.cell_diameter(f, CellAddress(w1 + w2)) * f.diameter
-        rhs = rf.cell_diameter(f, CellAddress(w1)) * rf.cell_diameter(f, CellAddress(w2))
+        lhs = rf.cell_diameter(f, w1 + w2) * f.diameter
+        rhs = rf.cell_diameter(f, w1) * rf.cell_diameter(f, w2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_cell_address_string_round_trip():
-    a = CellAddress((2, 1, 2))
-    assert str(a) == "2.1.2"
-    assert CellAddress.parse("2.1.2") == a
-    assert CellAddress.parse("") == CellAddress(())
-    assert a.child(1).word == (2, 1, 2, 1)
-    assert a.prefix(2).word == (2, 1)
+def test_cell_words_as_addresses():
+    assert rf.fractal._word_text((2, 1, 2)) == "2.1.2"
+    assert rf.fractal._word_text(()) == ""
+    cfg = rf.Configuration(np.array([0.0, 1.0]), addresses=[[np.int64(2), 1], ()])
+    assert cfg.addresses == ((2, 1), ())
+    assert all(type(m) is int for m in cfg.addresses[0])
 
 
 def test_estimate_diameter_cantor(cantor13):
