@@ -9,13 +9,18 @@ forked workers, one per usable core, from there on (parallel.parallel_map);
 the artifacts are the same for every core count, and `taskset -c 0` keeps
 a run in one process.
 
-Every experiment subcommand goes through _dispatch: its flags' dests are
-the param names of a config document, and the runner comes from _RUNNERS as
-it does for `run`.  An unset flag is no param, so each default is stated
-once, by the runner or by SearchOptions.  --budget is the subset budget
-under the exhaustive strategy and the move budget otherwise; pack's
---budget is always its subset budget.  Which search runs is decided by
-minimize.local_search_minimize alone.
+An experiment's subcommand in build_parser is the one declaration of its
+params: the flags' dests are the keys of a `run` document.  run checks a
+document against the flags of its command in the parser main uses: a key
+no flag declares is a UsageError (experiment, fractal, s and seed may be in
+any document), the dests of the required flags must be present, and an
+integral float given to an int flag is read as that int.  _dispatch and run
+then share one executor, _execute: load the fractal, create the output
+directory, call the runner from _RUNNERS.  An unset flag is no param, so
+each default is stated once, by the parser, the runner or SearchOptions.
+--budget is the subset budget under the exhaustive strategy and the move
+budget otherwise; pack's --budget is always its subset budget.  Which
+search runs is decided by minimize.local_search_minimize alone.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .asymptotics import (
     _DEFAULT_STRATEGY,
@@ -179,13 +184,10 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
 
-def _search_options(params: dict, experiment: str = None) -> SearchOptions:
-    """The params that name a SearchOptions field; the rest keep its defaults,
-    the strategy the experiment's (_DEFAULT_STRATEGY) if it has one."""
-    given = {f.name: params[f.name] for f in fields(SearchOptions) if f.name in params}
-    if experiment in _DEFAULT_STRATEGY:
-        given.setdefault("strategy", _DEFAULT_STRATEGY[experiment])
-    return SearchOptions(**given)
+def _search_options(params: dict) -> SearchOptions:
+    """The params that name a SearchOptions field; the rest keep its defaults."""
+    return SearchOptions(**{f.name: params[f.name] for f in fields(SearchOptions)
+                            if f.name in params})
 
 
 def _summary_json(summary: dict, indent: int = None) -> str:
@@ -199,58 +201,36 @@ def _summary_json(summary: dict, indent: int = None) -> str:
                       indent=indent, allow_nan=False)
 
 
-def _write_summary(out_dir: str, name: str, summary: dict):
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(_summary_json(summary, indent=2) + "\n")
+def _write_row(out_dir: str, name: str, row: dict, comment: str):
+    """A one-row table: the keys of row are its columns."""
+    write_table(os.path.join(out_dir, name), list(row), [list(row.values())], comment=comment)
 
 
 def _run_minimize(fractal, params: dict, out_dir: str) -> dict:
-    n = params.get("n")
-    if n is None:
-        raise UsageError("minimize needs n")
-    s = params["s"]
-    opts = _search_options(params, "minimize")
+    n, s = params["n"], params["s"]
+    opts = _search_options(params)
     depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), n)
     result = local_search_minimize(fractal, n, s, opts)
-    delta = result.min_distance
-    write_table(
-        os.path.join(out_dir, "minimize_results.csv"),
-        ["N", "s", "depth", "strategy", "seed", "energy", "normalized",
-         "min_distance", "certified"],
-        [[n, s, depth, result.strategy, opts.seed, result.record.energy,
-          result.record.normalized, delta, result.certified]],
-        comment=_ENERGY_NOTE,
-    )
+    row = {"N": n, "s": s, "depth": depth, "strategy": result.strategy, "seed": opts.seed,
+           "energy": result.record.energy, "normalized": result.record.normalized,
+           "min_distance": result.min_distance, "certified": result.certified}
+    _write_row(out_dir, "minimize_results.csv", row, _ENERGY_NOTE)
     configuration_to_csv(result.config, os.path.join(out_dir, "minimize_points.csv"))
-    summary = {
-        "N": n, "s": s, "depth": depth, "strategy": result.strategy,
-        "seed": opts.seed, "energy": result.record.energy,
-        "normalized": result.record.normalized, "min_distance": delta,
-        "certified": result.certified, "iterations": result.iterations,
-    }
-    _write_summary(out_dir, "minimize_summary.json", summary)
-    return summary
+    return dict(row, iterations=result.iterations)
 
 
 def _run_packing(fractal, params: dict, out_dir: str) -> dict:
-    n = params.get("n")
-    if n is None:
-        raise UsageError("packing needs n")
+    n = params["n"]
     depth = params.get("depth")
     if depth is None:
         depth = _auto_depth(len(fractal.maps), n)
     result = best_packing(fractal, n, depth,
                           params.get("subset_budget", DEFAULT_SUBSET_BUDGET))
-    write_table(
-        os.path.join(out_dir, "packing_results.csv"),
-        ["N", "depth", "delta", "certified", "strategy"],
-        [[n, depth, result.delta, result.certified, result.strategy]],
-        comment="delta: best found minimum pairwise distance",
-    )
-    configuration_to_csv(result.config, os.path.join(out_dir, "packing_points.csv"))
     summary = {"N": n, "depth": depth, "delta": result.delta,
                "certified": result.certified, "strategy": result.strategy}
-    _write_summary(out_dir, "packing_summary.json", summary)
+    _write_row(out_dir, "packing_results.csv", summary,
+               "delta: best found minimum pairwise distance")
+    configuration_to_csv(result.config, os.path.join(out_dir, "packing_points.csv"))
     return summary
 
 
@@ -277,18 +257,14 @@ def _run_geometric_limit(fractal, params: dict, out_dir: str) -> dict:
         "n0": n0, "k_max": k_max, "polish": polish,
         "last_delta": report.deltas[-1], "tail_at_n0": report.tail_bounds[0],
     }
-    _write_summary(out_dir, "geometric_limit_summary.json", summary)
     return summary
 
 
 def _run_g_curve(fractal, params: dict, out_dir: str) -> dict:
     s = params["s"]
     bins = params.get("bins", 16)
-    n_min = params.get("n_min")
-    n_max = params.get("n_max")
-    if n_min is None or n_max is None:
-        raise UsageError("g-curve needs n_min and n_max")
-    opts = _search_options(params, "g-curve")
+    n_min, n_max = params["n_min"], params["n_max"]
+    opts = _search_options(params)
     points = g_curve(fractal, s, bins, n_min, n_max, opts)
     rows = []
     sample_rows = []
@@ -311,46 +287,26 @@ def _run_g_curve(fractal, params: dict, out_dir: str) -> dict:
     )
     estimates = [pt.estimate for pt in points]
     filled = [e for e in estimates if not math.isnan(e)]
-    jumps = []
-    prev = None
-    for e in estimates:
-        if math.isnan(e):
-            continue
-        if prev is not None:
-            jumps.append(abs(e - prev))
-        prev = e
     summary = {
         "bins": bins, "n_min": n_min, "n_max": n_max, "s": s,
         "estimates": estimates, "empty_bins": len(estimates) - len(filled),
-        "max_adjacent_jump": max(jumps) if jumps else math.nan,
+        "max_adjacent_jump": max((abs(b - a) for a, b in zip(filled, filled[1:])),
+                                 default=math.nan),
     }
-    _write_summary(out_dir, "g_curve_summary.json", summary)
     return summary
 
 
 def _run_gap(fractal, params: dict, out_dir: str) -> dict:
-    cert = gap_certificate(fractal, params["s"])
-    fields = ["M", "r", "d", "sigma", "s", "R", "s_threshold",
-              "threshold_defined", "upper_coeff", "lower_coeff", "ratio",
-              "certified"]
-    row = [getattr(cert, f) for f in fields]
-    write_table(
-        os.path.join(out_dir, "gap_certificate.csv"),
-        fields, [row],
-        comment="closed-form certificate; sigma is rescaled to diameter 1",
-    )
-    summary = {f: getattr(cert, f) for f in fields}
-    _write_summary(out_dir, "gap_summary.json", summary)
+    summary = asdict(gap_certificate(fractal, params["s"]))
+    _write_row(out_dir, "gap_certificate.csv", summary,
+               "closed-form certificate; sigma is rescaled to diameter 1")
     return summary
 
 
 def _run_weakstar(fractal, params: dict, out_dir: str) -> dict:
-    n = params.get("n")
-    if n is None:
-        raise UsageError("weakstar needs n")
-    s = params["s"]
+    n, s = params["n"], params["s"]
     depth = params.get("measure_depth", 2)
-    opts = _search_options(params, "weakstar")
+    opts = _search_options(params)
     result = local_search_minimize(fractal, n, s, opts)
     report = empirical_cell_measure(fractal, result.config, depth)
     rows = []
@@ -367,17 +323,14 @@ def _run_weakstar(fractal, params: dict, out_dir: str) -> dict:
     summary = {"N": n, "s": s, "measure_depth": depth,
                "max_abs_dev": report.max_abs_dev,
                "energy": result.record.energy}
-    _write_summary(out_dir, "weakstar_summary.json", summary)
     return summary
 
 
 def _run_monotonicity(fractal, params: dict, out_dir: str) -> dict:
     s = params["s"]
     n_min = params.get("n_min", 2)
-    n_max = params.get("n_max")
-    if n_max is None:
-        raise UsageError("monotonicity needs n_max")
-    opts = _search_options(params, "monotonicity")
+    n_max = params["n_max"]
+    opts = _search_options(params)
     report = monotonicity_check(fractal, s, range(n_min, n_max + 1), opts)
     rows = []
     for j, N in enumerate(report.N_values):
@@ -394,7 +347,6 @@ def _run_monotonicity(fractal, params: dict, out_dir: str) -> dict:
                "violations": list(report.violations),
                "monotone": not report.violations,
                "fitted_C": report.fitted_C}
-    _write_summary(out_dir, "monotonicity_summary.json", summary)
     return summary
 
 
@@ -409,16 +361,65 @@ _RUNNERS = {
 }
 
 
+# namespace entries and flags that steer the executor rather than the experiment
+_NOT_PARAMS = ("command", "func", "help", "out", "budget")
+
+
+def _execute(given: dict, out_dir: str) -> dict:
+    """The executor of both entry points: load given["fractal"], create
+    out_dir, run given["experiment"] and write the summary it returns to
+    <experiment>_summary.json; every other entry that is set and steers the
+    experiment is a runner param."""
+    params = {k: v for k, v in given.items() if k not in _NOT_PARAMS and v is not None}
+    fractal = load_fractal(params["fractal"])
+    os.makedirs(out_dir, exist_ok=True)
+    experiment = params["experiment"]
+    summary = _RUNNERS[experiment](fractal, params, out_dir)
+    path = os.path.join(out_dir, experiment.replace("-", "_") + "_summary.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_summary_json(summary, indent=2) + "\n")
+    return summary
+
+
+# keys any document may carry: the schema requires experiment, fractal and s
+# of every document, and any document may fix its seed
+_EVERY_DOCUMENT = ("experiment", "fractal", "s", "seed")
+
+
+def _document_params(doc: dict) -> dict:
+    """A run document read as the flags of its command in _main_parser.
+
+    Each key must be the dest of one of those flags or in _EVERY_DOCUMENT;
+    a --budget dest stands for moves_budget and subset_budget.  The dests
+    of the required flags must be present.  An integral float given to an
+    int flag is read as that int, and an unset flag takes its default.
+    """
+    commands = next(a for a in _main_parser()._actions if a.dest == "command").choices
+    command = next(p for p in commands.values()
+                   if p.get_default("experiment") == doc["experiment"])
+    flags = {a.dest: a for a in command._actions}
+    if "budget" in flags:
+        flags["moves_budget"] = flags["subset_budget"] = flags["budget"]
+    unknown = [k for k in doc if k not in flags and k not in _EVERY_DOCUMENT]
+    if unknown:
+        raise UsageError(f"{doc['experiment']} takes no parameter {', '.join(unknown)}")
+    missing = [a.dest for a in command._actions if a.required and a.dest not in doc]
+    if missing:
+        raise UsageError(f"{doc['experiment']} needs {', '.join(missing)}")
+    params = {a.dest: a.default for a in command._actions}
+    for key, value in doc.items():
+        params[key] = int(value) if key in flags and flags[key].type is int else value
+    return params
+
+
 def run(config, out_dir: str = ".") -> dict:
-    """Validate, dispatch, and execute one experiment; returns the summary."""
+    """Validate one experiment document, check it against its command's
+    flags (_document_params) and execute it; returns the summary."""
     if isinstance(config, str):
         config = ExperimentConfig.from_file(config)
     elif isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
-    doc = dict(config.doc)
-    os.makedirs(out_dir, exist_ok=True)
-    fractal = load_fractal(doc["fractal"])
-    return _RUNNERS[doc["experiment"]](fractal, doc, out_dir)
+    return _execute(_document_params(config.doc), out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +505,7 @@ def _add_search(p, strategy: bool = True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new rieszfrac argument parser on every call (main reuses its first)."""
+    """A new rieszfrac argument parser on every call (main and run reuse its first)."""
     parser = argparse.ArgumentParser(
         prog="rieszfrac",
         description="Riesz energy minimization and asymptotics on self-similar fractals",
@@ -572,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the parser main uses: built on main's first call, not at import, and kept
+# the parser main parses with and run checks documents against: built on
+# the first call of either, not at import, and kept
 _main_parser = functools.cache(build_parser)
 
 
@@ -588,26 +590,17 @@ def _cmd_dimension(args) -> int:
     return 0
 
 
-# namespace entries that steer _dispatch rather than the experiment
-_NOT_PARAMS = ("command", "func", "experiment", "fractal", "out", "budget")
-
-
 def _dispatch(args) -> int:
     """Run one experiment subcommand; every set flag is a runner param.
 
     --budget is the subset budget under the exhaustive strategy and the
     move budget otherwise (pack's --budget is always its subset budget).
     """
-    params = {k: v for k, v in vars(args).items()
-              if k not in _NOT_PARAMS and v is not None}
-    budget = getattr(args, "budget", None)
-    if budget is not None:
-        key = "subset_budget" if params.get("strategy") == "exhaustive" else "moves_budget"
-        params[key] = budget
-    fractal = load_fractal(args.fractal)
-    os.makedirs(args.out, exist_ok=True)
-    summary = _RUNNERS[args.experiment](fractal, params, args.out)
-    print(_summary_json(summary))
+    given = dict(vars(args))
+    if given.get("budget") is not None:
+        key = "subset_budget" if given.get("strategy") == "exhaustive" else "moves_budget"
+        given[key] = given["budget"]
+    print(_summary_json(_execute(given, args.out)))
     return 0
 
 

@@ -22,6 +22,7 @@ from .errors import DomainError, SingularConfigurationError
 from .fractal import (
     PAIR_BLOCK,
     Fractal,
+    _cell_word,
     _pair_blocks,
     _row_blocks,
     _sq_dists,
@@ -59,7 +60,7 @@ class Configuration:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.addresses is not None:
-            addrs = tuple(tuple(map(int, word)) for word in self.addresses)
+            addrs = tuple(map(_cell_word, self.addresses))
             if len(addrs) != pts.shape[0]:
                 raise DomainError("need one address per point")
             object.__setattr__(self, "addresses", addrs)

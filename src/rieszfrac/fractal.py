@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -94,6 +95,21 @@ def _word_text(word: tuple) -> str:
     Private so that bench/spans.py, which wraps every public function of
     each layer, does not record a span per address written."""
     return ".".join(map(str, word))
+
+
+def _cell_word(word, M: int = None) -> tuple:
+    """A cell word as a tuple of ints.  A string, or a letter that is no
+    integer (numpy integers are), is a DomainError; with M given, so is a
+    letter outside 1..M.  Private like _word_text: it runs once per address."""
+    kinds = set(map(type, word)) - {int}  # a word of ints needs no ABC check
+    if isinstance(word, str) or kinds and not all(issubclass(k, numbers.Integral) for k in kinds):
+        raise DomainError(f"a cell word is a sequence of integer map indices, not {word!r}")
+    word = tuple(map(int, word))
+    if M is not None:
+        for m in word:
+            if not 1 <= m <= M:
+                raise DomainError(f"address index {m} outside 1..{M}")
+    return word
 
 
 def moran_dimension(ratios) -> float:
@@ -285,20 +301,13 @@ def cell_anchor(fractal: Fractal, word: tuple) -> np.ndarray:
     the attractor, so the returned point lies within cell_diameter(word)
     of every point of the cell.
     """
-    M = len(fractal.maps)
-    for m in word:
-        if not 1 <= m <= M:
-            raise DomainError(f"address index {m} outside 1..{M}")
-    return fractal.apply_word(word, fractal.base_anchor())
+    return fractal.apply_word(_cell_word(word, len(fractal.maps)), fractal.base_anchor())
 
 
 def cell_diameter(fractal: Fractal, word: tuple) -> float:
     """Diameter bound of the cell: the in-order ratio product times diameter."""
     prod = 1.0
-    M = len(fractal.maps)
-    for m in word:
-        if not 1 <= m <= M:
-            raise DomainError(f"address index {m} outside 1..{M}")
+    for m in _cell_word(word, len(fractal.maps)):
         prod *= fractal.maps[m - 1].ratio
     return prod * fractal.diameter
 

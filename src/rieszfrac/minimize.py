@@ -41,7 +41,6 @@ from .energy import (
     _point_rows,
     _shared_lift_crosses,
     point_energy_sums,
-    riesz_energy,
 )
 from .errors import (
     DomainError,
@@ -718,12 +717,8 @@ def local_search_minimize(fractal: Fractal, N: int, s: float,
     return _result(fractal, s, state.pts, state.words, "local-search", False, moves, pair)
 
 
-def lift(fractal: Fractal, config: Configuration, s: float = None) -> Configuration:
-    """Union of the images of the configuration under every map.
-
-    With s given and equal contraction ratios, checks the lifted energy
-    against M**(1+s/d) * E + sigma**(-s) * N**2 * M**2.
-    """
+def lift(fractal: Fractal, config: Configuration) -> Configuration:
+    """Union of the images of the configuration under every map."""
     M = len(fractal.maps)
     pts = _image_cloud(fractal, config.points, 1, math.inf)
     if np.unique(pts, axis=0).shape[0] < pts.shape[0]:
@@ -731,12 +726,7 @@ def lift(fractal: Fractal, config: Configuration, s: float = None) -> Configurat
     addrs = None
     if config.addresses is not None:
         addrs = [_row_label(row, M, 1, config.addresses) for row in range(pts.shape[0])]
-    out = Configuration(pts, addresses=addrs, fractal_label=config.fractal_label)
-    if s is not None and M >= 2 and fractal.equal_ratios and fractal.sigma > 0.0:
-        energy = riesz_energy(config, s)
-        cross, _ = _lift_cross(np.split(pts, M), s)
-        _check_lift_bound(fractal, s, config.n, energy, _lifted_energy(fractal, s, energy, cross))
-    return out
+    return Configuration(pts, addresses=addrs, fractal_label=config.fractal_label)
 
 
 def _lifted_energy(fractal: Fractal, s: float, energy: float, cross: float) -> float:

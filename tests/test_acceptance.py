@@ -205,8 +205,7 @@ def test_criterion_10_decomposition_identity(cantor13):
 
 def test_criterion_11_thread_count_reproducibility(tmp_path):
     limit = {"fractal": "cantor(1/3)", "s": 3.0, "experiment": "geometric-limit",
-             "n0": 2, "k_max": 5, "seed": 0, "restarts": 4,
-             "strategy": "lift-seeded"}
+             "n0": 2, "k_max": 5, "seed": 0, "restarts": 4}
     # N K = 256 * 512 reaches minimize._FAN_OUT_MIN, so the restarts of this
     # search run on one forked worker per usable core
     search = {"fractal": "cantor(1/3)", "s": 3.0, "experiment": "minimize",

@@ -365,6 +365,75 @@ def test_run_rejects_extra_keys():
              "s": 2.0, "experiment": "gap"})
 
 
+# small documents of each experiment, with every integer parameter set
+_INTEGER_DOCS = {
+    "minimize": {"n": 6, "restarts": 2, "seed": 1, "depth": 3},
+    "geometric-limit": {"n0": 2, "k_max": 3, "polish": False},
+    "g-curve": {"n_min": 2, "n_max": 8, "bins": 4},
+    "monotonicity": {"n_min": 2, "n_max": 4},
+    "packing": {"n": 3, "depth": 2},
+    "weakstar": {"n": 6, "measure_depth": 1},
+}
+
+
+def _run_document(tmp_path, name, doc, capsys):
+    """(exit code, stdout, artifacts) of `rieszfrac run` on doc."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / name
+    code = rf.main(["run", "--config", str(path), "--out", str(out)])
+    return code, capsys.readouterr().out, _read_files(out) if out.exists() else None
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (experiment, key) for experiment, params in _INTEGER_DOCS.items()
+    for key in params if key != "polish"])
+def test_integral_floats_run_as_their_integers(experiment, key, tmp_path, capsys):
+    doc = dict(_INTEGER_DOCS[experiment], experiment=experiment, fractal="cantor(1/3)", s=3)
+    as_int = _run_document(tmp_path, "int", doc, capsys)
+    as_float = _run_document(tmp_path, "float", dict(doc, **{key: float(doc[key])}), capsys)
+    assert as_int[0] == 0 and as_int[2]
+    assert as_float == as_int
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("geometric-limit", "strategy", "lift-seeded"),
+    ("gap", "n", 4),
+    ("minimize", "polish", False),
+    ("packing", "restarts", 2),
+])
+def test_run_rejects_keys_its_command_does_not_take(experiment, key, value, tmp_path,
+                                                    capsys):
+    doc = dict(_INTEGER_DOCS.get(experiment, {}), experiment=experiment,
+               fractal="cantor(1/3)", s=3, **{key: value})
+    code, printed, files = _run_document(tmp_path, "doc", doc, capsys)
+    error = json.loads(printed)["error"]
+    assert code == 2 and error["type"] == "UsageError" and files is None
+    assert key in error["message"].split()
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("minimize", "n"), ("g-curve", "n_max"), ("monotonicity", "n_max")])
+def test_run_rejects_documents_without_a_required_parameter(experiment, key, tmp_path,
+                                                            capsys):
+    doc = dict(_INTEGER_DOCS[experiment], experiment=experiment, fractal="cantor(1/3)", s=3)
+    del doc[key]
+    code, printed, files = _run_document(tmp_path, "doc", doc, capsys)
+    error = json.loads(printed)["error"]
+    assert code == 2 and error["type"] == "UsageError" and files is None
+    assert key in error["message"].split()
+
+
+@pytest.mark.parametrize("experiment", ["packing", "gap"])
+def test_documents_of_commands_without_seed_or_s_flags_may_carry_both(experiment, tmp_path,
+                                                                      capsys):
+    # the shape of the benchmark's certify packing config
+    doc = dict(_INTEGER_DOCS.get(experiment, {}), experiment=experiment,
+               fractal="cantor(1/3)", s=3, seed=12345)
+    code, _, files = _run_document(tmp_path, "doc", doc, capsys)
+    assert code == 0 and files
+
+
 # values a JSON document or a Python caller may put anywhere: bools are no
 # numbers, integral floats are integers, np.int64 is no integer
 _ODD = st.sampled_from([True, False, 0, 1, -1, 1.0, 0.5, 2.5, 1.5, np.int64(2),

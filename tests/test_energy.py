@@ -361,6 +361,20 @@ def test_configuration_address_count_must_match():
                          addresses=((1,),))
 
 
+@pytest.mark.parametrize("word", ["12", "1.2", "", (1.5,), (1, 2.0)])
+def test_configuration_rejects_addresses_of_no_integers(word):
+    # a string used to be read letter by letter: "12" became the word (1, 2)
+    with pytest.raises(rf.DomainError, match="integer map indices"):
+        rf.Configuration(np.array([0.0]), addresses=[word])
+
+
+def test_configuration_reads_numpy_integer_words():
+    cfg = rf.Configuration(np.array([0.0, 1.0]),
+                           addresses=[np.array([1, 2]), (np.int64(2),)])
+    assert cfg.addresses == ((1, 2), (2,))
+    assert all(type(m) is int for word in cfg.addresses for m in word)
+
+
 def test_validate_cells(cantor13):
     addr1, addr2 = (1,), (2,)
     good = rf.Configuration(np.array([0.0, 1.0]), addresses=(addr1, addr2))

@@ -138,6 +138,20 @@ def test_cell_anchor_rejects_bad_word(cantor13):
         rf.cell_anchor(cantor13, (0,))
 
 
+@pytest.mark.parametrize("word", [(1.5,), (1, 2.0), "12", "1.2", ""])
+def test_cell_anchor_and_diameter_reject_words_of_no_integers(cantor13, word):
+    # 1.5 lies in 1..2 but is no map index; a string is no word
+    for cell_function in (rf.cell_anchor, rf.cell_diameter):
+        with pytest.raises(DomainError, match="integer map indices"):
+            cell_function(cantor13, word)
+
+
+def test_cell_words_may_hold_numpy_integers(cantor13):
+    word = np.array([2, 1], dtype=np.int64)
+    assert np.array_equal(rf.cell_anchor(cantor13, word), rf.cell_anchor(cantor13, (2, 1)))
+    assert rf.cell_diameter(cantor13, (np.int32(2), 1)) == rf.cell_diameter(cantor13, (2, 1))
+
+
 def test_cell_diameter_examples(cantor13, mixed_fractal):
     assert rf.cell_diameter(cantor13, (1, 2)) == pytest.approx(1.0 / 9.0, abs=1e-15)
     assert rf.cell_diameter(cantor13, ()) == cantor13.diameter

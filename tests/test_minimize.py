@@ -430,7 +430,7 @@ def test_lift_energy_bound(cantor13):
     M = len(cantor13.maps)
     base = rf.Configuration(np.array([0.0, 1.0 / 3.0, 1.0]))
     e_base = rf.riesz_energy(base, s)
-    lifted = rf.lift(cantor13, base, s=s)
+    lifted = rf.lift(cantor13, base)
     e_lift = rf.riesz_energy(lifted, s)
     bound = (M ** (1.0 + s / cantor13.dimension) * e_base
              + cantor13.sigma ** (-s) * base.n ** 2 * M ** 2)
