@@ -45,6 +45,8 @@ def _require_equal_ratios(fractal: Fractal, what: str):
 
 
 def _require_hypersingular(s: float, d: float):
+    if s <= 0.0:
+        raise DomainError("exponent s must be positive")
     if s <= d:
         raise HypothesisError(
             f"hypersingular regime only: need s > d, got s={s}, d={d}"

@@ -10,12 +10,13 @@ the artifacts are the same for every core count, and `taskset -c 0` keeps
 a run in one process.
 
 An experiment's subcommand in build_parser is the one declaration of its
-params: the flags' dests are the keys of a `run` document.  run checks a
-document against the flags of its command in the parser main uses: a key
-no flag declares is a UsageError (experiment, fractal, s and seed may be in
-any document), the dests of the required flags must be present, and an
-integral float given to an int flag is read as that int.  _dispatch and run
-then share one executor, _execute: load the fractal, create the output
+params: the flags' dests are the keys of a `run` document, and a document
+is read by those flags alone (_document_params): a key no flag declares is
+a UsageError (experiment, s and seed may be in any document), the dests of
+the required flags must be present, and each value must be one its flag
+could read.  Ranges are checked by the library, as for flags, and a bad
+flag is a UsageError, printed by main as JSON.  _dispatch and run then
+share one executor, _execute: load the fractal, create the output
 directory, call the runner from _RUNNERS.  An unset flag is no param, so
 each default is stated once, by the parser, the runner or SearchOptions.
 --budget is the subset budget under the exhaustive strategy and the move
@@ -27,10 +28,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -51,7 +50,7 @@ from .errors import (
     SingularConfigurationError,
     UsageError,
 )
-from .fractal import load_fractal, moran_dimension, parse_number
+from .fractal import _read_json, load_fractal, moran_dimension, parse_number
 from .minimize import (
     DEFAULT_SUBSET_BUDGET,
     _STRATEGIES,
@@ -65,123 +64,28 @@ from .serialize import configuration_to_csv, fmt_float, read_table, write_table
 _ENERGY_NOTE = "energy convention: ordered pairs, sum over i != j of |xi - xj|^(-s)"
 
 
-def _load_schema() -> dict:
-    ref = importlib.resources.files("rieszfrac") / "schemas" / "experiment.schema.json"
-    return json.loads(ref.read_text(encoding="utf-8"))
-
-
-# ---------------------------------------------------------------------------
-# the draft-07 subset that experiment.schema.json uses, read as jsonschema 4
-# reads it; a node with any other keyword raises, so no rule goes unchecked
-
-_KEYWORDS = frozenset({
-    "$schema", "title", "description", "definitions",  # annotations only
-    "type", "required", "properties", "additionalProperties", "enum", "minimum",
-    "exclusiveMinimum", "exclusiveMaximum", "minLength", "minItems", "items", "oneOf",
-    "$ref"})
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Number) and not isinstance(v, bool)
-
-
-# bool is no number; a float with an integral value is an integer
-_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "number": _is_number,
-    "integer": lambda v: _is_number(v) and (
-        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
-}
-_BOUNDS = (("minimum", lambda v, b: v < b, "less than"),
-           ("exclusiveMinimum", lambda v, b: v <= b, "not greater than"),
-           ("exclusiveMaximum", lambda v, b: v >= b, "not less than"))
-
-
-def _schema_error(schema: dict, value, root: dict, path: str = ""):
-    """The first (path, message) by which value breaks schema, else None; a
-    path reads like fractal.maps[1].ratio, and root is the schema document
-    that local $refs point into."""
-    unknown = schema.keys() - _KEYWORDS
-    if unknown or schema.get("additionalProperties", False) is not False:
-        raise NotImplementedError(f"schema keywords {sorted(unknown)} are not interpreted"
-                                  if unknown else "additionalProperties must be false")
-    if "$ref" in schema:  # draft 7: a $ref replaces its siblings
-        ref = schema["$ref"]
-        if not ref.startswith("#/definitions/"):
-            raise NotImplementedError(f"only #/definitions/ $refs are interpreted: {ref}")
-        return _schema_error(root["definitions"][ref.rpartition("/")[2]], value, root, path)
-    if "type" in schema and not _TYPES[schema["type"]](value):
-        return path, f"{value!r} is not of type {schema['type']!r}"
-    if "enum" in schema and value not in schema["enum"]:  # string enums: no number matches
-        return path, f"{value!r} is not one of {schema['enum']!r}"
-    for key, breaks, words in _BOUNDS:
-        if key in schema and _is_number(value) and breaks(value, schema[key]):
-            return path, f"{value!r} is {words} {schema[key]!r}"
-    for kind, key in ((str, "minLength"), (list, "minItems")):
-        if isinstance(value, kind) and len(value) < schema.get(key, 0):
-            return path, f"{value!r} is shorter than {schema[key]!r}"
-    children = []
-    if isinstance(value, list) and "items" in schema:
-        children = [(schema["items"], item, f"{path}[{i}]") for i, item in enumerate(value)]
-    if isinstance(value, dict):
-        props = schema.get("properties", {})
-        at = lambda key: f"{path}.{key}" if path else str(key)
-        for key in schema.get("required", ()):
-            if key not in value:
-                return at(key), "is required but missing"
-        if "additionalProperties" in schema:
-            for key in value:
-                if key not in props:
-                    return at(key), "is not an allowed key"
-        children = [(props[key], value[key], at(key)) for key in props if key in value]
-    for sub, item, child in children:
-        err = _schema_error(sub, item, root, child)
-        if err:
-            return err
-    if "oneOf" in schema:
-        errors = [_schema_error(sub, value, root, path) for sub in schema["oneOf"]]
-        if errors.count(None) > 1:
-            return path, f"{value!r} is valid under more than one oneOf branch"
-        if None not in errors:  # the deepest reason, when one branch got further
-            deepest = max(errors, key=lambda e: len(e[0]))  # deeper paths are longer
-            return deepest if len(deepest[0]) > len(path) else \
-                (path, "no oneOf branch holds: " + "; ".join(e[1] for e in errors))
-    return None
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A schema-validated experiment document."""
+    """An experiment document and the runner params read from it."""
 
     doc: dict
+    params: dict
 
     @classmethod
     def from_dict(cls, doc) -> "ExperimentConfig":
-        schema = _load_schema()
-        err = _schema_error(schema, doc, schema)
-        if err:
-            raise UsageError(f"experiment config rejected: {err[0] or 'document'}: {err[1]}")
+        """Check doc: strict JSON, read by the flags of its experiment's
+        subcommand (_document_params)."""
         try:
             json.dumps(doc, allow_nan=False)
         except ValueError as exc:  # json.dumps: a NaN or an infinity
             raise UsageError("experiment config rejected: it holds NaN or Infinity") from exc
         except TypeError as exc:  # a number JSON cannot hold, such as np.int64
             raise UsageError(f"experiment config rejected: {exc}") from exc
-        return cls(doc)
+        return cls(doc, _document_params(doc))
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError as exc:
-            raise UsageError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(_read_json(path, "config"))
 
 
 def _search_options(params: dict) -> SearchOptions:
@@ -381,45 +285,79 @@ def _execute(given: dict, out_dir: str) -> dict:
     return summary
 
 
-# keys any document may carry: the schema requires experiment, fractal and s
-# of every document, and any document may fix its seed
-_EVERY_DOCUMENT = ("experiment", "fractal", "s", "seed")
+def _flag_value(key: str, value, flag: argparse.Action):
+    """value read as flag reads its text: an int flag takes an int or an
+    integral float (read as that int), a parse_number flag a number (kept
+    as given), a flag with choices one of them, a switch a bool and any
+    other flag a string (--fractal also a fractal description).  Bools are
+    no numbers; any other value is a UsageError."""
+    if flag.type is int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        kind, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif flag.type is not None:  # parse_number, which a tracer may have wrapped
+        kind, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif flag.choices:
+        kind, ok = f"one of {', '.join(flag.choices)}", value in flag.choices
+    elif flag.nargs == 0:
+        kind, ok = "true or false", isinstance(value, bool)
+    else:
+        kind = "a string" + (" or a fractal description" if key == "fractal" else "")
+        ok = isinstance(value, str) or key == "fractal" and isinstance(value, dict)
+    if not ok:
+        raise UsageError(f"{key} must be {kind}, got {value!r}")
+    return value
 
 
-def _document_params(doc: dict) -> dict:
-    """A run document read as the flags of its command in _main_parser.
+def _document_params(doc) -> dict:
+    """A run document read as the flags of its experiment's command in
+    _main_parser.
 
-    Each key must be the dest of one of those flags or in _EVERY_DOCUMENT;
-    a --budget dest stands for moves_budget and subset_budget.  The dests
-    of the required flags must be present.  An integral float given to an
-    int flag is read as that int, and an unset flag takes its default.
+    Each key but experiment must be the dest of one of those flags, s or
+    seed (any document may carry both; where the command has no such flag,
+    they are read as minimize's and range-checked here).  A --budget dest
+    stands for moves_budget and subset_budget.  The dests of the required
+    flags must be present, each value is read by _flag_value, and an unset
+    flag takes its default.
     """
+    if not isinstance(doc, dict):
+        raise UsageError(f"an experiment config is a JSON object, not {doc!r}")
+    experiment = doc.get("experiment")
+    if not (isinstance(experiment, str) and experiment in _RUNNERS):
+        raise UsageError(f"experiment must be one of {', '.join(_RUNNERS)}, got {experiment!r}")
     commands = next(a for a in _main_parser()._actions if a.dest == "command").choices
-    command = next(p for p in commands.values()
-                   if p.get_default("experiment") == doc["experiment"])
-    flags = {a.dest: a for a in command._actions}
-    if "budget" in flags:
-        flags["moves_budget"] = flags["subset_budget"] = flags["budget"]
-    unknown = [k for k in doc if k not in flags and k not in _EVERY_DOCUMENT]
+    command = next(p for p in commands.values() if p.get_default("experiment") == experiment)
+    actions = {a.dest: a for a in command._actions}
+    flags = {dest: a for dest, a in actions.items() if dest not in _NOT_PARAMS}
+    if "budget" in actions:
+        flags["moves_budget"] = flags["subset_budget"] = actions["budget"]
+    unread = {a.dest: a for a in commands["minimize"]._actions
+              if a.dest in ("s", "seed") and a.dest not in flags}
+    known = {**flags, **unread}
+    unknown = [k for k in doc if k not in known and k != "experiment"]
     if unknown:
-        raise UsageError(f"{doc['experiment']} takes no parameter {', '.join(unknown)}")
+        raise UsageError(f"{experiment} takes no parameter {', '.join(unknown)}")
     missing = [a.dest for a in command._actions if a.required and a.dest not in doc]
     if missing:
-        raise UsageError(f"{doc['experiment']} needs {', '.join(missing)}")
+        raise UsageError(f"{experiment} needs {', '.join(missing)}")
     params = {a.dest: a.default for a in command._actions}
     for key, value in doc.items():
-        params[key] = int(value) if key in flags and flags[key].type is int else value
+        params[key] = value if key == "experiment" else _flag_value(key, value, known[key])
+    if "s" in unread and params.get("s", 1) <= 0:
+        raise DomainError("exponent s must be positive")
+    if "seed" in unread and params.get("seed", 0) < 0:
+        raise DomainError("seed must be nonnegative")
     return params
 
 
 def run(config, out_dir: str = ".") -> dict:
-    """Validate one experiment document, check it against its command's
-    flags (_document_params) and execute it; returns the summary."""
+    """Read one experiment document (a path, a dict or an ExperimentConfig)
+    and execute it; returns the summary."""
     if isinstance(config, str):
         config = ExperimentConfig.from_file(config)
     elif isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
-    return _execute(_document_params(config.doc), out_dir)
+    return _execute(config.params, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +442,26 @@ def _add_search(p, strategy: bool = True):
         p.set_defaults(strategy=_DEFAULT_STRATEGY[p.get_default("experiment")])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subparsers included, whose errors are
+    UsageErrors, so that main prints them as JSON like every other error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new rieszfrac argument parser on every call (main and run reuse its first)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rieszfrac",
         description="Riesz energy minimization and asymptotics on self-similar fractals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dimension", help="solve the Moran equation")
-    p.add_argument("--ratios", help="comma-separated contraction ratios, e.g. 1/3,1/3")
-    p.add_argument("--fractal", help="catalog name or fractal JSON path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ratios", help="comma-separated contraction ratios, e.g. 1/3,1/3")
+    source.add_argument("--fractal", help="catalog name or fractal JSON path")
     p.set_defaults(func=_cmd_dimension)
 
     p = _experiment(sub, "minimize", "minimize the Riesz s-energy of N points")
@@ -579,13 +526,10 @@ _main_parser = functools.cache(build_parser)
 
 
 def _cmd_dimension(args) -> int:
-    if args.ratios:
-        ratios = [parse_number(tok) for tok in args.ratios.split(",") if tok.strip()]
-        d = moran_dimension(ratios)
-    elif args.fractal:
-        d = load_fractal(args.fractal).dimension
+    if args.ratios is not None:
+        d = moran_dimension([parse_number(tok) for tok in args.ratios.split(",") if tok.strip()])
     else:
-        raise UsageError("dimension needs --ratios or --fractal")
+        d = load_fractal(args.fractal).dimension
     print(fmt_float(d))
     return 0
 
@@ -627,11 +571,10 @@ _EXIT_CODES = (
 
 def main(argv=None) -> int:
     try:
-        args = _main_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = _main_parser().parse_args(argv)  # a bad flag raises UsageError
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 2
     except Exception as exc:  # noqa: BLE001  CLI boundary
         code = 1
         for klass, c in _EXIT_CODES:

@@ -516,48 +516,80 @@ def from_catalog(text: str) -> Fractal:
 
 
 def _spec_numbers(value, path: str, shape=()) -> np.ndarray:
-    """value read as a float array of the given shape; a value that cannot be
-    read so, or holds a number that is not finite, raises DomainError naming path."""
+    """value read as a float array of the given shape: a number for shape
+    (), else a flat list of numbers (bools are none).  Any other value, one
+    of another size or one that is not finite raises DomainError naming path."""
+    items = value if shape else [value]
+    if not isinstance(items, (list, tuple)) or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+        kind = "a list of numbers" if shape else "a number"
+        raise DomainError(f"fractal description: cannot read {path} = {value!r} (not {kind})")
     try:
         out = np.array(value, dtype=float).reshape(shape)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DomainError(f"fractal description: cannot read {path} = {value!r} ({exc})") from exc
     if not np.all(np.isfinite(out)):
         raise DomainError(f"fractal description: {path} = {value!r} is not finite")
     return out
 
 
+def _spec_keys(doc: dict, where: str, required: tuple, optional: tuple):
+    """A DomainError naming the first key of doc that is missing or unknown."""
+    for key in required:
+        if key not in doc:
+            raise DomainError(f"{where} missing key {key!r}")
+    for key in doc:
+        if key not in required + optional:
+            raise DomainError(f"{where} has unknown key {key!r}")
+
+
 def fractal_from_spec(doc: dict) -> Fractal:
-    """Build a fractal from its JSON description; a description that is
-    missing a key or holds a value of the wrong kind or size raises
-    DomainError."""
+    """Build a fractal from its JSON description: ambient_dim, maps (each
+    with ratio, translation and an optional row-major rotation) and the
+    optional label, diameter and sigma.  A description that is missing a
+    key, holds an unknown one or a value of the wrong kind, size or range
+    raises DomainError naming the key."""
     if not isinstance(doc, dict):
         raise DomainError("fractal description must be a JSON object")
-    for key in ("ambient_dim", "maps"):
-        if key not in doc:
-            raise DomainError(f"fractal description missing key {key!r}")
+    _spec_keys(doc, "fractal description", ("ambient_dim", "maps"), ("label", "diameter", "sigma"))
     p = float(_spec_numbers(doc["ambient_dim"], "ambient_dim"))
     if p < 1 or not p.is_integer():
         raise DomainError(f"ambient_dim must be a positive integer, got {doc['ambient_dim']!r}")
     p = int(p)
     if not isinstance(doc["maps"], (list, tuple)):
         raise DomainError(f"fractal description: maps must be a list, got {doc['maps']!r}")
+    label = doc.get("label", "")
+    if "label" in doc and not (isinstance(label, str) and label):
+        raise DomainError(f"fractal description: label must be a non-empty string, got {label!r}")
     maps = []
     for i, entry in enumerate(doc["maps"]):
         at = f"maps[{i}]"
         if not isinstance(entry, dict):
             raise DomainError(f"fractal description: {at} must be an object, got {entry!r}")
-        for key in ("ratio", "translation"):
-            if key not in entry:
-                raise DomainError(f"fractal description: {at} missing key {key!r}")
-        rot = entry.get("rotation")  # row-major
+        _spec_keys(entry, f"fractal description: {at}", ("ratio", "translation"), ("rotation",))
         maps.append(Similitude(
             float(_spec_numbers(entry["ratio"], f"{at}.ratio")),
-            np.eye(p) if rot is None else _spec_numbers(rot, f"{at}.rotation", (p, p)),
+            _spec_numbers(entry["rotation"], f"{at}.rotation", (p, p))
+            if "rotation" in entry else np.eye(p),
             _spec_numbers(entry["translation"], f"{at}.translation", (p,))))
-    bounds = {key: float(_spec_numbers(doc[key], key))
-              for key in ("diameter", "sigma") if doc.get(key) is not None}
-    return make_fractal(maps, label=str(doc.get("label", "")), **bounds)
+    bounds = {key: float(_spec_numbers(doc[key], key)) for key in ("diameter", "sigma")
+              if key in doc}
+    if bounds.get("diameter", 1.0) <= 0.0:
+        raise DomainError(f"fractal description: diameter = {doc['diameter']!r} is not positive")
+    return make_fractal(maps, label=label, **bounds)
+
+
+def _read_json(path: str, what: str):
+    """The JSON document in the file at path; a file that is missing, no
+    regular file, unreadable or not UTF-8 JSON raises UsageError naming
+    path.  what names the file in the message."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"{what} {path!r} is no readable file: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise UsageError(f"{what} {path!r} is not valid JSON: {exc}") from exc
 
 
 def load_fractal(source) -> Fractal:
@@ -570,11 +602,4 @@ def load_fractal(source) -> Fractal:
     text = str(source)
     if _CATALOG_RE.match(text):
         return from_catalog(text)
-    try:
-        with open(text, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"fractal {text!r} is no catalog name and no readable file: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise UsageError(f"fractal file {text} is not valid JSON: {exc}") from exc
-    return fractal_from_spec(doc)
+    return fractal_from_spec(_read_json(text, "fractal"))

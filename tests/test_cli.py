@@ -1,17 +1,20 @@
 """Command line behavior: artifacts, exit codes, determinism.
 
 Everything runs in-process through main(argv), except the check that a run
-never imports jsonschema or numpy.random; the thread-count independence
-check lives in the acceptance tests where it uses real subprocesses.
-jsonschema is the reference the config checker is compared against.
+never imports numpy.random and the comparison of repeated in-process calls
+with separate runs; the thread-count independence check lives in the
+acceptance tests where it uses real subprocesses.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rieszfrac as rf
-from rieszfrac.cli import _KEYWORDS, _load_schema, _schema_error
 
 D_CANTOR = math.log(2.0) / math.log(3.0)
 
@@ -56,6 +58,12 @@ def test_dimension_needs_an_argument(capsys):
     assert code == 2
     err = _last_json(capsys)["error"]
     assert err["type"] == "UsageError" and err["exit_code"] == 2
+
+
+def test_dimension_takes_one_source(capsys):
+    assert rf.main(["dimension", "--ratios", "1/3,1/3", "--fractal", "cantor(1/4)"]) == 2
+    err = _last_json(capsys)["error"]
+    assert err["type"] == "UsageError" and "--ratios" in err["message"]
 
 
 # ------------------------------------------------------------------- minimize
@@ -316,12 +324,9 @@ class _Searched(Exception):
 
 
 def test_strategy_and_experiment_names_agree(monkeypatch, cantor13):
-    from rieszfrac.cli import _RUNNERS, _load_schema, build_parser
+    from rieszfrac.cli import _RUNNERS, build_parser
     from rieszfrac.minimize import _STRATEGIES
 
-    props = _load_schema()["properties"]
-    assert tuple(props["strategy"]["enum"]) == _STRATEGIES
-    assert props["experiment"]["enum"] == list(_RUNNERS)
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
     experiments = set()
     cli_default = {}
@@ -351,18 +356,17 @@ def test_strategy_and_experiment_names_agree(monkeypatch, cantor13):
         assert cli_default[experiment] == strategy, experiment
 
 
-def test_run_rejects_extra_keys():
-    with pytest.raises(rf.UsageError, match="rejected: surprise: "):
+def test_run_rejects_extra_keys(tmp_path):
+    with pytest.raises(rf.UsageError, match="gap takes no parameter surprise"):
         rf.ExperimentConfig.from_dict(
             {"fractal": "cantor(1/3)", "s": 2.0, "experiment": "gap",
              "surprise": 1})
-    # a rejection names the path of the offending value first
+    # an inline description is read by fractal_from_spec, as from a file
     maps = [{"ratio": 0.5, "translation": [0.0]}, {"ratio": 1.5, "translation": [1.0]}]
-    with pytest.raises(rf.UsageError, match=re.escape(
-            "experiment config rejected: fractal.maps[1].ratio: 1.5 is not less than 1")):
-        rf.ExperimentConfig.from_dict(
-            {"fractal": {"label": "x", "ambient_dim": 1, "maps": maps},
-             "s": 2.0, "experiment": "gap"})
+    with pytest.raises(rf.DomainError, match=re.escape("must lie in (0, 1), got 1.5")):
+        rf.run({"fractal": {"label": "x", "ambient_dim": 1, "maps": maps},
+                "s": 2.0, "experiment": "gap"}, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 # small documents of each experiment, with every integer parameter set
@@ -434,8 +438,8 @@ def test_documents_of_commands_without_seed_or_s_flags_may_carry_both(experiment
     assert code == 0 and files
 
 
-# values a JSON document or a Python caller may put anywhere: bools are no
-# numbers, integral floats are integers, np.int64 is no integer
+# values a JSON document or a Python caller may put anywhere: bools, strings
+# and lists where numbers go, numbers JSON cannot hold
 _ODD = st.sampled_from([True, False, 0, 1, -1, 1.0, 0.5, 2.5, 1.5, np.int64(2),
                         np.float64(2.0), np.float64(0.25), "", "x", None, [], {}, (0.5,),
                         math.nan, math.inf])
@@ -461,22 +465,23 @@ def _with_odd_keys(draw, doc: dict) -> dict:
     return doc
 
 
-
-
 @st.composite
-def _similitudes(draw):
-    coords = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
-    sim = {"ratio": draw(_mostly(st.floats(0.0, 1.0))), "translation": draw(_mostly(coords))}
-    if draw(st.booleans()):
-        sim["rotation"] = draw(_mostly(coords))
+def _similitudes(draw, p: int):
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)
+    ratios = st.one_of(st.sampled_from([0.25, 0.4]), st.floats(0.0, 1.0))
+    sim = {"ratio": draw(_mostly(ratios)), "translation": draw(_mostly(coords))}
+    if draw(st.booleans()):  # the identity or a point reflection, row-major
+        flips = st.sampled_from([1.0, -1.0]).map(lambda sign: (sign * np.eye(p)).ravel().tolist())
+        sim["rotation"] = draw(_mostly(flips))
     return _with_odd_keys(draw, sim)
 
 
 @st.composite
 def _fractal_specs(draw):
+    p = draw(st.integers(1, 3))
     spec = {"label": draw(_mostly(st.sampled_from(["x", "two-scale"]))),
-            "ambient_dim": draw(_mostly(st.integers(1, 3))),
-            "maps": draw(_mostly(st.lists(_similitudes(), min_size=1, max_size=3)))}
+            "ambient_dim": draw(_mostly(st.just(p))),
+            "maps": draw(_mostly(st.lists(_similitudes(p), min_size=1, max_size=3)))}
     if draw(st.booleans()):
         spec["diameter"] = draw(_mostly(st.floats(0.0, 2.0)))
     if draw(st.booleans()):
@@ -484,70 +489,85 @@ def _fractal_specs(draw):
     return _with_odd_keys(draw, spec)
 
 
-def _property_values(prop: dict):
-    """Values of one optional property, on both sides of its minimum."""
-    if "enum" in prop:
-        return _mostly(st.sampled_from(prop["enum"] + ["anneal"]))
-    if prop["type"] == "boolean":
-        return _mostly(st.booleans())
-    return _mostly(st.integers(prop["minimum"] - 1, 12))
+def _outcome(argv):
+    """(exit code, error type or None) of main(argv), stdout captured; an
+    error main does not map to an exit code is (None, its type)."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            code = rf.main(argv)
+        except Exception as exc:  # noqa: BLE001  main re-raised it
+            return None, type(exc).__name__
+    return code, json.loads(out.getvalue().splitlines()[-1]).get("error", {}).get("type")
 
 
-_OPTIONAL = {key: _property_values(prop) for key, prop in _load_schema()["properties"].items()
-             if key not in ("fractal", "s", "experiment")}
+_MINIMIZE = {"experiment": "minimize", "fractal": "cantor(1/3)", "s": 3, "n": 4}
 
 
-@st.composite
-def _documents(draw):
-    if draw(_rarely()):
-        return draw(st.one_of(_ODD, st.lists(_ODD, max_size=2), st.text(max_size=3)))
-    catalog = st.sampled_from(["cantor(1/3)", "uniform(3,0.2)"])
-    doc = {"fractal": draw(_mostly(st.one_of(catalog, _fractal_specs()))),
-           "s": draw(_mostly(st.floats(0.0, 8.0))),
-           "experiment": draw(_mostly(st.sampled_from(["minimize", "gap", "g-curve"])))}
-    for key in draw(st.lists(st.sampled_from(sorted(_OPTIONAL)), max_size=3)):
-        doc[key] = draw(_OPTIONAL[key])
-    return _with_odd_keys(draw, doc)
+@pytest.mark.parametrize("change", [
+    {"n": "eight"}, {"n": True}, {"n": 2.5},  # a string, a bool, a non-integral float
+    {"s": "three"}, {"s": True},
+    {"n": 0}, {"seed": -1}, {"s": -1},  # out of range
+    {"strategy": "anneal"},  # a bad choice
+    {"polish": False}, {"experiment": "explode"},  # an unknown key or experiment
+], ids=lambda change: "-".join(f"{k}={v}" for k, v in change.items()))
+def test_a_document_and_its_flags_fail_alike(change, tmp_path):
+    doc = dict(_MINIMIZE, **change)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [doc["experiment"]]
+    for key, value in doc.items():
+        if key != "experiment":
+            argv += [f"--{key}", str(value)]
+    as_document = _outcome(["run", "--config", str(path), "--out", str(tmp_path / "doc")])
+    as_flags = _outcome(argv + ["--out", str(tmp_path / "flags")])
+    assert as_document == as_flags and as_document[0] in (2, 5)
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True,
+_TWO_MAPS_SPEC = {"label": "x", "ambient_dim": 1,
+                  "maps": [{"ratio": 0.3, "translation": [0.0]},
+                           {"ratio": 0.3, "translation": [0.7]}]}
+
+
+def _inline_and_file(spec, tmp):
+    """The outcomes of gap on spec, inline in a run document and from a file."""
+    doc, path = os.path.join(tmp, "doc.json"), os.path.join(tmp, "spec.json")
+    with open(doc, "w", encoding="utf-8") as fh:
+        json.dump({"experiment": "gap", "s": 4, "fractal": spec}, fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
+    return (_outcome(["run", "--config", doc, "--out", os.path.join(tmp, "inline")]),
+            _outcome(["gap", "--fractal", path, "--s", "4", "--out", os.path.join(tmp, "file")]))
+
+
+@pytest.mark.parametrize("change", [
+    {"sigmaa": 0.4}, {"ambient_dim": True}, {"diameter": 0}, {"diameter": "1"},
+    {"label": ""}, {"sigma": None},
+    {"maps": [{"ratio": "0.3", "translation": [0.0]}, {"ratio": 0.3, "translation": [0.7]}]},
+    {"maps": [{"ratio": 1.5, "translation": [0.0]}, {"ratio": 0.3, "translation": [0.7]}]},
+    {"maps": [{"ratio": 0.3, "translation": [0.0], "rot": [1.0]},
+              {"ratio": 0.3, "translation": [0.7]}]},
+], ids=["typo-key", "bool-ambient-dim", "zero-diameter", "string-diameter", "empty-label",
+        "null-sigma", "string-ratio", "ratio-above-1", "typo-map-key"])
+def test_an_inline_spec_and_its_file_fail_alike(change, tmp_path):
+    inline, from_file = _inline_and_file(dict(_TWO_MAPS_SPEC, **change), str(tmp_path))
+    assert inline == from_file == (5, "DomainError")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # degenerate or unseparated sets
+@settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_documents())
-def test_config_checker_agrees_with_draft7(doc):
-    import jsonschema
-
-    schema = _load_schema()
-    expected = jsonschema.Draft7Validator(schema).is_valid(doc)
-    assert (_schema_error(schema, doc, schema) is None) == expected
-
-
-def _schema_nodes(node):
-    yield node
-    for key, sub in node.items():
-        if key in ("properties", "definitions"):
-            for child in sub.values():
-                yield from _schema_nodes(child)
-        elif key == "items":
-            yield from _schema_nodes(sub)
-        elif key == "oneOf":
-            for child in sub:
-                yield from _schema_nodes(child)
+@given(_fractal_specs())
+def test_every_spec_reads_alike_inline_and_from_a_file(spec):
+    try:  # a spec a JSON file can hold; NaN in a run document is a usage error
+        json.dumps(spec, allow_nan=False)
+    except (TypeError, ValueError):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        inline, from_file = _inline_and_file(spec, tmp)
+    assert inline == from_file
 
 
-def test_config_checker_covers_every_schema_keyword():
-    nodes = list(_schema_nodes(_load_schema()))
-    assert len(nodes) > 20
-    for node in nodes:
-        assert node.keys() <= _KEYWORDS, node
-    # a keyword it does not interpret is never skipped in silence
-    for schema in ({"type": "string", "pattern": "^c"},
-                   {"type": "object", "additionalProperties": {"type": "string"}},
-                   {"$ref": "other.json#/definitions/x"}):
-        with pytest.raises(NotImplementedError):
-            _schema_error(schema, "cantor(1/3)", schema)
-
-
-def test_a_run_never_imports_jsonschema(tmp_path):
+def test_a_run_never_imports_numpy_random(tmp_path):
     # the minimize run takes the default 3 restarts, so it draws two random
     # starts; numpy.random is compared before and after because numpy 1.x
     # imports it together with numpy
@@ -557,12 +577,12 @@ def test_a_run_never_imports_jsonschema(tmp_path):
     script = ("import sys, rieszfrac.cli\n"
               "before = 'numpy.random' in sys.modules\n"
               "code = rieszfrac.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-              "print(code, 'jsonschema' in sys.modules, not before and 'numpy.random' in sys.modules)\n")
+              "print(code, not before and 'numpy.random' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rf.__file__)))
     proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 False False"
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
 
 
 def test_run_rejects_missing_config_file(capsys):
@@ -573,6 +593,21 @@ def test_run_rejects_malformed_json(tmp_path, capsys):
     cfg_path = tmp_path / "broken.json"
     cfg_path.write_text("{not json")
     assert rf.main(["run", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("content", [None, "directory", '{"experiment": "gap", ', b"\xff\xfe"],
+                         ids=["missing", "directory", "truncated", "not-utf8"])
+def test_unreadable_config_files_are_usage_errors(content, tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    out = tmp_path / "out"
+    assert rf.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    error = _last_json(capsys)["error"]
+    assert error["type"] == "UsageError" and str(path) in error["message"]
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- exit codes
@@ -756,6 +791,20 @@ def test_help_exits_cleanly(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert rf.main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--fractal", "cantor(1/3)", "--n", "8"],  # no --s
+    ["minimize", "--fractal", "cantor(1/3)", "--s", "3", "--n", "eight"],
+    ["frobnicate"],
+], ids=["missing-s", "n-eight", "unknown-subcommand"])
+def test_flag_errors_print_one_json_error(argv, tmp_path, capsys):
+    assert rf.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 1
+    error = json.loads(printed[0])["error"]
+    assert error["type"] == "UsageError" and error["exit_code"] == 2 and error["message"]
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------------ plot data
