@@ -87,9 +87,9 @@ def gap_certificate(fractal: Fractal, s: float) -> GapCertificate:
     ratio = R^s * M^(s/d-1)/(M^(s/d-1)-1) * M(M+1); the threshold
     max{2d, log_{1/R}(2M(M+1))} is defined only when R < 1.
     """
-    _require_equal_ratios(fractal, "gap certificate")
     if s <= 0.0:
         raise DomainError("exponent s must be positive")
+    _require_equal_ratios(fractal, "gap certificate")
     if fractal.sigma <= 0.0:
         raise HypothesisError(
             "gap certificate needs a certified positive separation"

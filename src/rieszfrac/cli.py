@@ -355,7 +355,7 @@ def run(config, out_dir: str = ".") -> dict:
     and execute it; returns the summary."""
     if isinstance(config, str):
         config = ExperimentConfig.from_file(config)
-    elif isinstance(config, dict):
+    elif not isinstance(config, ExperimentConfig):
         config = ExperimentConfig.from_dict(config)
     return _execute(config.params, out_dir)
 

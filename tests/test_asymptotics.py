@@ -288,6 +288,19 @@ def test_geometric_limit_normalized_bounded_by_seed_plus_tail(cantor13):
         assert val <= cap * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("call", [
+    lambda f, g: rf.geometric_limit(f, 0.0, n0=2, k_max=2),
+    lambda f, g: rf.g_curve(f, -1.0, bins=8, N_min=2, N_max=20),
+    lambda f, g: rf.pigeonhole_bound(f, 1, 0.0),
+    lambda f, g: rf.gap_certificate(g, 0.0),
+], ids=["geometric_limit", "g_curve", "pigeonhole_bound", "gap_certificate"])
+def test_a_non_positive_s_is_a_domain_error(call, cantor13, mixed_fractal):
+    # not a HypothesisError: s <= 0 is checked before s > d, and gap checks
+    # it before the equal ratios that mixed_fractal lacks
+    with pytest.raises(rf.DomainError, match="exponent s must be positive"):
+        call(cantor13, mixed_fractal)
+
+
 def test_geometric_limit_validation(cantor13, mixed_fractal):
     with pytest.raises(rf.HypothesisError):
         rf.geometric_limit(cantor13, 0.5 * D_CANTOR, n0=2, k_max=2)
