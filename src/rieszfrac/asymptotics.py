@@ -85,7 +85,8 @@ def gap_certificate(fractal: Fractal, s: float) -> GapCertificate:
     """Evaluate R = (r/sigma)(1+r^d)^(1/d) and the limsup/liminf ratio at s.
 
     ratio = R^s * M^(s/d-1)/(M^(s/d-1)-1) * M(M+1); the threshold
-    max{2d, log_{1/R}(2M(M+1))} is defined only when R < 1.
+    max{2d, log_{1/R}(2M(M+1))} is defined only when R < 1.  A power that
+    leaves the float range is a DomainError naming s/d.
     """
     if s <= 0.0:
         raise DomainError("exponent s must be positive")
@@ -106,14 +107,17 @@ def gap_certificate(fractal: Fractal, s: float) -> GapCertificate:
         s_threshold = math.nan
         threshold_defined = False
     t = s / d
-    if t > 1.0:
-        denom = M ** (t - 1.0) - 1.0
-        upper_coeff = sigma ** (-s) / denom
-        ratio = (R ** s) * (M ** (t - 1.0) / denom) * M * (M + 1)
-    else:
-        upper_coeff = math.inf
-        ratio = math.inf
-    lower_coeff = M ** t
+    try:
+        if t > 1.0:
+            denom = M ** (t - 1.0) - 1.0
+            upper_coeff = sigma ** (-s) / denom
+            ratio = (R ** s) * (M ** (t - 1.0) / denom) * M * (M + 1)
+        else:
+            upper_coeff = math.inf
+            ratio = math.inf
+        lower_coeff = M ** t
+    except OverflowError as exc:
+        raise DomainError(f"gap certificate overflows float64 at s/d = {t!r}") from exc
     certified = ratio < 1.0 - _CERT_SLACK
     return GapCertificate(M, r, d, sigma, s, R, s_threshold, threshold_defined,
                           upper_coeff, lower_coeff, ratio, certified)
@@ -137,7 +141,8 @@ def cantor_gap_check(s: float) -> CantorGapReport:
     Under the unordered-pair convention the bound chain is seeded with a
     two-point energy of 1; the ordered-pair convention used here doubles both
     that seed and the pigeonhole lower bound, so the ratio is unchanged.
-    ordered_ratio recomputes it that way as a check.
+    ordered_ratio recomputes it that way as a check.  A power that leaves
+    the float range is a DomainError naming s/d.
     """
     if s <= 0.0:
         raise DomainError("exponent s must be positive")
@@ -145,13 +150,16 @@ def cantor_gap_check(s: float) -> CantorGapReport:
     t = s / d
     if t <= 1.0:
         return CantorGapReport(s, d, t, False, math.inf, math.inf, False)
-    ratio = (0.75 ** t) * (2.0 ** (t - 1.0) / (2.0 ** (t - 1.0) - 1.0)) * 1.5
     # limsup coefficient U and liminf coefficient L of the normalized
     # energies along N = 2^(k+1) and N = 3*2^k; the seed energy enters U
     # linearly and the pair count enters L linearly
     pair_seed = 2.0
-    U = pair_seed / (4.0 * (2.0 ** (t - 1.0) - 1.0))
-    L = pair_seed * (2.0 ** t) / (3.0 ** (1.0 + t))
+    try:
+        ratio = (0.75 ** t) * (2.0 ** (t - 1.0) / (2.0 ** (t - 1.0) - 1.0)) * 1.5
+        U = pair_seed / (4.0 * (2.0 ** (t - 1.0) - 1.0))
+        L = pair_seed * (2.0 ** t) / (3.0 ** (1.0 + t))
+    except OverflowError as exc:
+        raise DomainError(f"Cantor gap check overflows float64 at s/d = {t!r}") from exc
     ordered_ratio = U / L
     certified = ratio < 1.0 - _CERT_SLACK
     return CantorGapReport(s, d, t, True, ratio, ordered_ratio, certified)

@@ -19,9 +19,8 @@ flag is a UsageError, printed by main as JSON.  _dispatch and run then
 share one executor, _execute: load the fractal, create the output
 directory, call the runner from _RUNNERS.  An unset flag is no param, so
 each default is stated once, by the parser, the runner or SearchOptions.
---budget is the subset budget under the exhaustive strategy and the move
-budget otherwise; pack's --budget is always its subset budget.  Which
-search runs is decided by minimize.local_search_minimize alone.
+Which search runs, and what its budget caps, is decided by
+minimize.local_search_minimize alone.
 """
 
 from __future__ import annotations
@@ -128,8 +127,7 @@ def _run_packing(fractal, params: dict, out_dir: str) -> dict:
     depth = params.get("depth")
     if depth is None:
         depth = _auto_depth(len(fractal.maps), n)
-    result = best_packing(fractal, n, depth,
-                          params.get("subset_budget", DEFAULT_SUBSET_BUDGET))
+    result = best_packing(fractal, n, depth, params.get("budget", DEFAULT_SUBSET_BUDGET))
     summary = {"N": n, "depth": depth, "delta": result.delta,
                "certified": result.certified, "strategy": result.strategy}
     _write_row(out_dir, "packing_results.csv", summary,
@@ -266,7 +264,7 @@ _RUNNERS = {
 
 
 # namespace entries and flags that steer the executor rather than the experiment
-_NOT_PARAMS = ("command", "func", "help", "out", "budget")
+_NOT_PARAMS = ("command", "func", "help", "out")
 
 
 def _execute(given: dict, out_dir: str) -> dict:
@@ -315,10 +313,9 @@ def _document_params(doc) -> dict:
 
     Each key but experiment must be the dest of one of those flags, s or
     seed (any document may carry both; where the command has no such flag,
-    they are read as minimize's and range-checked here).  A --budget dest
-    stands for moves_budget and subset_budget.  The dests of the required
-    flags must be present, each value is read by _flag_value, and an unset
-    flag takes its default.
+    they are read as minimize's and range-checked here).  The dests of the
+    required flags must be present, each value is read by _flag_value, and
+    an unset flag takes its default.
     """
     if not isinstance(doc, dict):
         raise UsageError(f"an experiment config is a JSON object, not {doc!r}")
@@ -327,10 +324,7 @@ def _document_params(doc) -> dict:
         raise UsageError(f"experiment must be one of {', '.join(_RUNNERS)}, got {experiment!r}")
     commands = next(a for a in _main_parser()._actions if a.dest == "command").choices
     command = next(p for p in commands.values() if p.get_default("experiment") == experiment)
-    actions = {a.dest: a for a in command._actions}
-    flags = {dest: a for dest, a in actions.items() if dest not in _NOT_PARAMS}
-    if "budget" in actions:
-        flags["moves_budget"] = flags["subset_budget"] = actions["budget"]
+    flags = {a.dest: a for a in command._actions if a.dest not in _NOT_PARAMS}
     unread = {a.dest: a for a in commands["minimize"]._actions
               if a.dest in ("s", "seed") and a.dest not in flags}
     known = {**flags, **unread}
@@ -472,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _experiment(sub, "pack", "best-packing (maximin) search", "packing")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--depth", type=int, default=None, help="mesh depth")
-    p.add_argument("--budget", dest="subset_budget", type=int, default=None,
+    p.add_argument("--budget", type=int, default=None,
                    help="subset budget for the certified enumeration; "
                         "greedy exchange beyond it")
 
@@ -535,16 +529,8 @@ def _cmd_dimension(args) -> int:
 
 
 def _dispatch(args) -> int:
-    """Run one experiment subcommand; every set flag is a runner param.
-
-    --budget is the subset budget under the exhaustive strategy and the
-    move budget otherwise (pack's --budget is always its subset budget).
-    """
-    given = dict(vars(args))
-    if given.get("budget") is not None:
-        key = "subset_budget" if given.get("strategy") == "exhaustive" else "moves_budget"
-        given[key] = given["budget"]
-    print(_summary_json(_execute(given, args.out)))
+    """Run one experiment subcommand; every set flag is a runner param."""
+    print(_summary_json(_execute(vars(args), args.out)))
     return 0
 
 

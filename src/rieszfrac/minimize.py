@@ -83,15 +83,18 @@ _STRATEGIES = ("exhaustive", "local-search", "lift-seeded")
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Knobs shared by the search strategies; seed fixes every random choice."""
+    """Knobs shared by the search strategies; seed fixes every random choice.
+
+    budget caps the subsets of an "exhaustive" enumeration and the accepted
+    moves of each search of the other strategies; None is the strategy's default.
+    """
 
     depth: int = None
     max_depth: int = None
     restarts: int = 3
-    moves_budget: int = 10_000
+    budget: int = None
     seed: int = 0
     strategy: str = "local-search"
-    subset_budget: int = DEFAULT_SUBSET_BUDGET
 
     def __post_init__(self):
         if self.depth is not None and self.depth < 1:
@@ -103,10 +106,8 @@ class SearchOptions:
                 raise DomainError("max_depth must not be below depth")
         if self.restarts < 1:
             raise DomainError("restarts must be at least 1")
-        if self.moves_budget < 1:
-            raise DomainError("moves_budget must be positive")
-        if self.subset_budget < 1:
-            raise DomainError("subset_budget must be positive")
+        if self.budget is not None and self.budget < 1:
+            raise DomainError("budget must be positive")
         if self.seed < 0:
             raise DomainError("seed must be nonnegative")
         if self.strategy not in _STRATEGIES:
@@ -545,9 +546,10 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
     later sweep.
     """
     kernels = {}
+    budget = 10_000 if opts.budget is None else opts.budget
     total = 0
     for _ in range(_MAX_SWEEPS):
-        left = opts.moves_budget - total
+        left = budget - total
         if left <= 0:
             break
         accepted = _sweep(fractal, s, state, max_depth, mesh, kernels, left)
@@ -695,14 +697,16 @@ def local_search_minimize(fractal: Fractal, N: int, s: float,
     and down to child cells up to max_depth.  Energy never increases along
     accepted moves and the whole run is a pure function of the options (seed
     included).  "exhaustive" is exhaustive_minimize over the depth-l anchors
-    (opts.depth, else the least depth with M**l >= N) within
-    opts.subset_budget subsets; "lift-seeded" polishes a lift chain when N
-    is n0 * M**k with k >= 1 and runs the local search otherwise.
+    (opts.depth, else the least depth with M**l >= N) within opts.budget
+    subsets (default DEFAULT_SUBSET_BUDGET), and every other search stops at
+    opts.budget accepted moves (default 10,000); "lift-seeded" polishes a
+    lift chain when N is n0 * M**k with k >= 1 and searches otherwise.
     """
     opts = opts if opts is not None else SearchOptions()
     if opts.strategy == "exhaustive":
         depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), N)
-        return exhaustive_minimize(fractal, N, s, depth, budget=opts.subset_budget)
+        budget = DEFAULT_SUBSET_BUDGET if opts.budget is None else opts.budget
+        return exhaustive_minimize(fractal, N, s, depth, budget=budget)
     if opts.strategy == "lift-seeded":
         M = len(fractal.maps)
         if M < 2:
@@ -742,7 +746,7 @@ def _check_lift_bound(fractal: Fractal, s: float, n: int, energy: float, lifted:
     bound = (M ** (1.0 + s / fractal.dimension)) * energy \
         + (fractal.sigma ** (-s)) * n * n * M * M
     if lifted > bound * (1.0 + 1e-9):
-        raise AssertionError(
+        raise HypothesisError(
             f"lift energy bound violated at N={M * n}: {lifted!r} > {bound!r}; "
             "this indicates inconsistent fractal geometry data"
         )

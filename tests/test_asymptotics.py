@@ -65,6 +65,68 @@ def test_gap_certificate_validation(cantor13, mixed_fractal):
         rf.gap_certificate(mixed_fractal, s=3.0)
 
 
+# s/d from just above 1 to past the float range of M**(s/d), which ends
+# below s/d = 1024 for M = 2 and below 650 for M = 3
+_T_VALUES = [1.0 + 10.0 ** -k for k in range(1, 7)] + [1.5 ** j for j in range(1, 22)]
+
+
+@pytest.mark.parametrize("fractal", [rf.cantor("1/3"), rf.uniform_line(2, 0.1),
+                                     rf.uniform_line(3, 0.2), rf.uniform_line(4, 0.05)],
+                         ids=lambda f: f.label)
+def test_gap_certificate_keeps_its_bits_until_it_overflows(fractal):
+    # the closed forms as gap_certificate evaluates them, operation for
+    # operation; an equivalent form such as M**(1-t) moves the last bit
+    M, r, d = len(fractal.maps), fractal.ratios[0], fractal.dimension
+    sigma = fractal.sigma / fractal.diameter
+    R = (r / sigma) * (1.0 + r ** d) ** (1.0 / d)
+    overflowed = 0
+    for nominal in _T_VALUES:
+        s = nominal * d
+        t = s / d
+        try:
+            denom = M ** (t - 1.0) - 1.0
+            upper = sigma ** (-s) / denom
+            ratio = (R ** s) * (M ** (t - 1.0) / denom) * M * (M + 1)
+            lower = M ** t
+        except OverflowError:
+            overflowed += 1
+            with pytest.raises(rf.DomainError, match="s/d"):
+                rf.gap_certificate(fractal, s)
+            continue
+        cert = rf.gap_certificate(fractal, s)
+        assert (cert.R, cert.upper_coeff, cert.ratio, cert.lower_coeff) == (R, upper, ratio, lower)
+    assert 0 < overflowed < len(_T_VALUES)
+
+
+def test_cantor_gap_check_keeps_its_bits_until_it_overflows():
+    overflowed = 0
+    for nominal in _T_VALUES:
+        s = nominal * D_CANTOR
+        t = s / D_CANTOR
+        try:
+            ratio = (0.75 ** t) * (2.0 ** (t - 1.0) / (2.0 ** (t - 1.0) - 1.0)) * 1.5
+            U = 2.0 / (4.0 * (2.0 ** (t - 1.0) - 1.0))
+            L = 2.0 * (2.0 ** t) / (3.0 ** (1.0 + t))
+        except OverflowError:
+            overflowed += 1
+            with pytest.raises(rf.DomainError, match="s/d"):
+                rf.cantor_gap_check(s)
+            continue
+        rep = rf.cantor_gap_check(s)
+        assert (rep.ratio, rep.ordered_ratio) == (ratio, U / L)
+    assert 0 < overflowed < len(_T_VALUES)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: rf.gap_certificate(rf.cantor("1/3"), 2000.0),
+    lambda: rf.gap_certificate(rf.uniform_line(2, 0.1), 1000.0),
+    lambda: rf.cantor_gap_check(1000.0),
+], ids=["cantor", "uniform", "cantor_gap_check"])
+def test_a_gap_beyond_the_float_range_is_a_domain_error(check):
+    with pytest.raises(rf.DomainError, match="overflows float64 at s/d"):
+        check()
+
+
 # ------------------------------------------------------------ ternary ratios
 
 def test_cantor_gap_ratio_at_three_d():

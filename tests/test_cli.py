@@ -160,6 +160,24 @@ def test_gap_uncertified_for_ternary(tmp_path, capsys):
     assert summary["certified"] is False
 
 
+@pytest.mark.parametrize("fractal, s", [
+    ("cantor(1/3)", "2000"), ("uniform(2, 0.1)", "1000"),
+    # two maps of ratio 1e-300: d is about 0.001, so s/d is about 4000
+    ({"label": "tiny", "ambient_dim": 1, "diameter": 1.0, "sigma": 0.5,
+      "maps": [{"ratio": 1e-300, "translation": [0.0]},
+               {"ratio": 1e-300, "translation": [1.0]}]}, "4"),
+], ids=["cantor", "uniform", "tiny-ratios"])
+def test_a_gap_beyond_the_float_range_exits_5(fractal, s, tmp_path, capsys):
+    if isinstance(fractal, dict):
+        (tmp_path / "spec.json").write_text(json.dumps(fractal))
+        fractal = str(tmp_path / "spec.json")
+    code = rf.main(["gap", "--fractal", fractal, "--s", s, "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 5 and len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "DomainError" and "s/d" in error["message"]
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not JSON")
@@ -405,6 +423,11 @@ def test_integral_floats_run_as_their_integers(experiment, key, tmp_path, capsys
     ("gap", "n", 4),
     ("minimize", "polish", False),
     ("packing", "restarts", 2),
+    # --budget's dest is budget, in a document as on the command line
+    ("minimize", "moves_budget", 1),
+    ("minimize", "subset_budget", 1),
+    ("geometric-limit", "subset_budget", 1),
+    ("packing", "subset_budget", 10),
 ])
 def test_run_rejects_keys_its_command_does_not_take(experiment, key, value, tmp_path,
                                                     capsys):
@@ -436,6 +459,56 @@ def test_documents_of_commands_without_seed_or_s_flags_may_carry_both(experiment
                fractal="cantor(1/3)", s=3, seed=12345)
     code, _, files = _run_document(tmp_path, "doc", doc, capsys)
     assert code == 0 and files
+
+
+def _argv(doc: dict) -> list:
+    """The flags of the subcommand that runs doc (pack for packing)."""
+    argv = ["pack" if doc["experiment"] == "packing" else doc["experiment"]]
+    for key, value in doc.items():
+        if key != "experiment":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("experiment, params", [
+    # under the exhaustive strategy the budget caps subsets: C(16, 3) = 560
+    # anchor subsets at depth 4, and 2 of them end in exit 4
+    ("minimize", {"n": 3, "depth": 4, "strategy": "exhaustive", "budget": 560}),
+    ("minimize", {"n": 3, "depth": 4, "strategy": "exhaustive", "budget": 2}),
+    # under every other strategy it caps the accepted moves of each search
+    ("minimize", {"n": 9, "seed": 1, "budget": 1}),
+    ("minimize", {"n": 12, "seed": 1, "strategy": "lift-seeded", "budget": 1}),
+    ("monotonicity", {"n_max": 4, "budget": 100}),
+    ("monotonicity", {"n_max": 4, "strategy": "local-search", "budget": 1}),
+    ("weakstar", {"n": 4, "depth": 3, "strategy": "exhaustive", "budget": 70}),
+    ("weakstar", {"n": 6, "measure_depth": 1, "budget": 1}),
+    ("g-curve", {"n_min": 2, "n_max": 8, "bins": 4, "depth": 3, "strategy": "exhaustive",
+                 "budget": 100}),
+    ("g-curve", {"n_min": 2, "n_max": 8, "bins": 4, "budget": 1}),
+    ("geometric-limit", {"k_max": 2, "budget": 1}),
+    # pack's budget caps subsets: C(32, 3) = 4960 endpoint subsets at depth 4
+    ("packing", {"n": 3, "depth": 4, "budget": 4960}),
+    ("packing", {"n": 3, "depth": 4, "budget": 10}),
+], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()))
+def test_a_budget_key_runs_as_its_flag(experiment, params, tmp_path, capsys):
+    doc = dict(params, experiment=experiment, fractal="cantor(1/3)")
+    if experiment != "packing":
+        doc["s"] = 3.0
+    as_document = _run_document(tmp_path, "doc", doc, capsys)
+    out = tmp_path / "flags"
+    code = rf.main(_argv(doc) + ["--out", str(out)])
+    as_flags = code, capsys.readouterr().out, _read_files(out) if out.exists() else None
+    assert as_document == as_flags
+    assert as_document[0] == (4 if params["budget"] == 2 else 0)
+
+
+def test_a_search_stops_at_its_budget(tmp_path, capsys):
+    doc = {"experiment": "minimize", "fractal": "cantor(1/3)", "s": 3, "n": 9, "seed": 1,
+           "restarts": 1}
+    code, printed, _ = _run_document(tmp_path, "free", doc, capsys)
+    assert code == 0 and json.loads(printed)["iterations"] > 1
+    code, printed, _ = _run_document(tmp_path, "capped", dict(doc, budget=1), capsys)
+    assert code == 0 and json.loads(printed)["iterations"] <= 1
 
 
 # values a JSON document or a Python caller may put anywhere: bools, strings
@@ -624,6 +697,26 @@ def test_exit_code_hypothesis_violation(tmp_path, capsys):
                     "--s", "3", "--out", str(tmp_path)])
     assert code == 3
     assert _last_json(capsys)["error"]["type"] == "HypothesisError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometric-limit", "--s", "3", "--k-max", "2"],
+    ["minimize", "--s", "3", "--n", "8", "--strategy", "lift-seeded"],
+], ids=["geometric-limit", "minimize"])
+def test_a_sigma_the_lift_contradicts_is_a_hypothesis_error(argv, tmp_path, capsys):
+    # cantor(1/3)'s maps with a declared sigma far above their true gap
+    spec = {"label": "liar", "ambient_dim": 1,
+            "maps": [{"ratio": 1 / 3, "translation": [0.0]},
+                     {"ratio": 1 / 3, "translation": [2 / 3]}],
+            "diameter": 1.0, "sigma": 10.0}
+    spec_path = tmp_path / "liar.json"
+    spec_path.write_text(json.dumps(spec))
+    code = rf.main(argv + ["--fractal", str(spec_path), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3 and len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "HypothesisError"
+    assert "lift energy bound violated" in error["message"]
 
 
 def test_exit_code_budget(tmp_path, capsys):

@@ -92,13 +92,16 @@ def test_exhaustive_budget_enforced(cantor13):
 
 def test_dispatch_passes_subset_budget(cantor13):
     # C(16, 3) = 560 anchor subsets at depth 4
-    opts = rf.SearchOptions(depth=4, strategy="exhaustive", subset_budget=559)
+    opts = rf.SearchOptions(depth=4, strategy="exhaustive", budget=559)
     with pytest.raises(rf.ResourceBudgetError):
         rf.local_search_minimize(cantor13, 3, 2.0, opts)
-    res = rf.local_search_minimize(cantor13, 3, 2.0, replace(opts, subset_budget=560))
+    res = rf.local_search_minimize(cantor13, 3, 2.0, replace(opts, budget=560))
     assert res.certified and res.iterations == 560
     with pytest.raises(rf.DomainError):
-        rf.SearchOptions(subset_budget=0)
+        rf.SearchOptions(budget=0)
+    # an unset budget is each strategy's own default, so none is carried over
+    assert replace(rf.SearchOptions(strategy="exhaustive"), strategy="local-search") \
+        == rf.SearchOptions()
 
 
 def _rotating_ifs():
@@ -303,7 +306,7 @@ def test_search_options_validation():
     with pytest.raises(rf.DomainError):
         rf.SearchOptions(restarts=0)
     with pytest.raises(rf.DomainError):
-        rf.SearchOptions(moves_budget=0)
+        rf.SearchOptions(budget=0)
     with pytest.raises(rf.DomainError):
         rf.SearchOptions(strategy="anneal")
     with pytest.raises(rf.DomainError):
@@ -441,7 +444,7 @@ def test_lift_chain_bound_fires_on_overstated_sigma(cantor13):
     # a declared sigma far above the true gap makes the cross term too small
     liar = rf.make_fractal(cantor13.maps, label="liar", diameter=1.0, sigma=10.0)
     for polish in (False, True):
-        with pytest.raises(AssertionError, match="lift energy bound violated"):
+        with pytest.raises(rf.HypothesisError, match="lift energy bound violated"):
             rf.lift_chain(liar, 3.0, 1, 1, polish=polish)
 
 
