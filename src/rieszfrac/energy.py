@@ -258,6 +258,21 @@ def point_energy_sums(candidates, config, s: float, skip_index: int = None) -> n
     return sums
 
 
+def _candidate_sums(cands: np.ndarray, pts: np.ndarray, s: float, skip_index: int) -> np.ndarray:
+    """point_energy_sums(cands, pts, s, skip_index), the same floats.
+
+    Up to PAIR_BLOCK candidates make one block of point_energy_sums, formed
+    here by one call with no errstate of its own: the caller ignores divide
+    and overflow.  More candidates go through point_energy_sums.
+    """
+    if cands.shape[0] > PAIR_BLOCK:
+        return point_energy_sums(cands, pts, s, skip_index=skip_index)
+    k = _sq_dists(cands, pts)
+    np.power(k, -0.5 * s, out=k)
+    k[:, skip_index] = 0.0
+    return k.sum(axis=1)
+
+
 def _point_kernel(candidates: np.ndarray, config: np.ndarray, s: float) -> np.ndarray:
     """(K, N) array of |y - x_j|**(-s), a coincidence giving inf.
 

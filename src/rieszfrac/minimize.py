@@ -34,13 +34,13 @@ import numpy as np
 from .energy import (
     Configuration,
     EnergyRecord,
+    _candidate_sums,
     _finite_row_sums,
     _lift_cross,
     _pair_pass,
     _point_kernel,
     _point_rows,
     _shared_lift_crosses,
-    point_energy_sums,
 )
 from .errors import (
     DomainError,
@@ -67,11 +67,16 @@ _U = 2.0 ** -53  # unit roundoff of float64
 # [_TINY, _HUGE], where the relative rounding model of floats holds
 _TINY, _HUGE = 2.0 ** -970, 2.0 ** 990
 # kernel entries per screening batch (its points' own rows against all
-# points).  A move ends a batch early, so after a move the next batch waits
-# until _MIN_BATCH points passed without one and then holds twice as many
-# points as have, up to the cap.
+# points); the level screen of a batch gathers half as many entries, since
+# it holds three arrays of them at once.  A move ends a batch early, so
+# after a move the next batch waits until _MIN_BATCH points passed without
+# one and then holds twice as many points as have, up to the cap.  With
+# each point's offer kept between its moves a point outside a batch costs
+# less than it did: on the search configs (seeds 1-5, one core) 4 took 3-4 %
+# less time than 2, and 1 took 5 % more.  8 was faster still, but on
+# cantor(1/3) at N = 1024 it scores over a fifth of the points exactly.
 _BATCH_TERMS = 1 << 14
-_MIN_BATCH = 2
+_MIN_BATCH = 4
 # restarts fan out to forked workers (parallel_map) once N times the mesh
 # rows K of the starting depth reaches this.  Forking, the copy-on-write
 # faults it brings and the result's trip through a pipe cost 5-15 ms; on
@@ -155,13 +160,15 @@ class PackingResult:
 
 
 class _State:
-    """Mutable search state: the cell word and the coordinates of each point."""
+    """Mutable search state: the cell word and the coordinates of each point,
+    and the index of the point that moved last (None before any move)."""
 
-    __slots__ = ("words", "pts")
+    __slots__ = ("words", "pts", "last_move")
 
     def __init__(self, words, pts):
         self.words = list(words)
         self.pts = np.array(pts, dtype=float)
+        self.last_move = None
 
 
 class _Mesh:
@@ -220,6 +227,17 @@ def _row_label(row: int, M: int, lifts: int, base_words=None, prefix=()) -> tupl
         letters.append(r + 1)
     letters.reverse()
     return prefix + tuple(letters) + base
+
+
+def _level_words(rows, M: int, depth: int) -> list:
+    """[_row_label(row, M, depth) for row in rows], from one pass over the
+    base-M digits of all rows at once."""
+    q = np.asarray(rows, dtype=np.int64) // M
+    letters = np.empty((depth, q.shape[0]), dtype=np.int64)
+    for k in range(depth - 1, -1, -1):
+        q, r = np.divmod(q, M)
+        letters[k] = r + 1
+    return list(map(tuple, letters.T.tolist()))
 
 
 def _auto_depth(M: int, N: int) -> int:
@@ -293,8 +311,9 @@ def _update_level_stats(stats: list, old: np.ndarray, new: np.ndarray):
     C -= old_inf
 
 
-def _screened_level_values(G: np.ndarray, stats: list, i: int, threshold: float):
-    """_level_values(G, i) on the rows that can still win, +inf on the others.
+def _level_keep(G: np.ndarray, stats: list, cols, thresholds) -> list:
+    """The indices of the rows of G that can still win, for each column
+    i = cols[b] at threshold thresholds[b], from one gather of G[:, cols].
 
     Row j's value v_j is the float sum of its entries with column i zeroed.
     If the row holds an inf outside column i, v_j is exactly inf.  Otherwise
@@ -306,23 +325,39 @@ def _screened_level_values(G: np.ndarray, stats: list, i: int, threshold: float)
     row whose lower end lies above the least upper end U exceeds some other
     row's value and so is not the first minimum; a row whose lower end is
     at or above threshold cannot be accepted.  A row whose R_j overflowed
-    always gets its exact sum.
+    is always kept.  Each column's floats are those of a gather of it alone.
     """
     R, C, E = stats
-    g = G[:, i]
-    g_inf = np.isinf(g)
-    est = R - np.where(g_inf, 0.0, g)
-    margin = 2.0 * E + (G.shape[1] + 4) * _U * np.abs(est)
-    hi = est + margin
+    est = G[:, cols]
+    g_inf = np.isinf(est)
+    np.copyto(est, 0.0, where=g_inf)
+    np.subtract(R[:, None], est, out=est)
+    # three (K, len(cols)) floats at a time: est, margin (then hi) and lo
+    margin = np.abs(est)
+    margin *= (G.shape[1] + 4) * _U
+    margin += 2.0 * E[:, None]
     with np.errstate(invalid="ignore"):
         lo = est - margin
-    exact_inf = C > g_inf
-    hi[exact_inf] = np.inf
-    lo[exact_inf] = np.inf
+    hi = np.add(est, margin, out=margin)
+    exact_inf = C[:, None] > g_inf
+    np.copyto(hi, np.inf, where=exact_inf)
+    np.copyto(lo, np.inf, where=exact_inf)
     # a row whose R overflowed has lo = nan; the negated tests keep it
-    least = hi.min()
-    keep = ~(lo > least) if least < threshold else ~(lo >= threshold)
-    rows = np.flatnonzero(keep)
+    least = hi.min(axis=0)
+    return [np.flatnonzero(~(lo[:, b] > least[b]) if least[b] < threshold
+                           else ~(lo[:, b] >= threshold))
+            for b, threshold in enumerate(thresholds)]
+
+
+def _screened_level_values(G: np.ndarray, stats: list, i: int, threshold: float,
+                           rows: np.ndarray = None):
+    """_level_values(G, i) on the rows that can still win, +inf on the others.
+
+    rows are the indices of those rows (_level_keep); they are found here
+    when not given.
+    """
+    if rows is None:
+        rows = _level_keep(G, stats, [i], [threshold])[0]
     values = np.full(G.shape[0], np.inf)
     if rows.size:
         values[rows] = _level_values(G, i, rows)
@@ -371,7 +406,7 @@ def _certify_cells(pts: np.ndarray, idx: np.ndarray, d2: np.ndarray, k: np.ndarr
         near[rows, idx] = False
         near_i = k.sum(axis=1, where=near)
         # the near points of each row, padded with the point itself
-        qq, jj = np.nonzero(near)
+        qq, jj = np.divmod(np.flatnonzero(near), N)
         count = np.bincount(qq, minlength=Q)
         J = np.repeat(idx[:, None], count.max(initial=0), axis=1)
         J[qq, np.arange(qq.shape[0]) - np.repeat(np.cumsum(count) - count, count)] = jj
@@ -407,26 +442,29 @@ def _screen_batch(pts: np.ndarray, s: float, i0: int, cells_of: list):
     end = i0 + len(cells_of)
     d2, k, current = _point_rows(pts, i0, end, s)
     threshold = current - 1e-12 * (1.0 + np.abs(current))
-    rows = [sum(c.shape[0] for c in cells) for cells in cells_of]
+    rows = [sum(map(len, cells)) for cells in cells_of]
     q = [r for r in range(end - i0) if rows[r] and rows[r] * N >= _CELL_SCREEN_MIN]
     certified = np.zeros(end - i0, dtype=bool)
     if q:
         width = max(rows[r] for r in q)
-        cands = np.repeat(pts[i0:end][q][:, None, :], width, axis=1)
-        for n, r in enumerate(q):
-            cands[n, : rows[r]] = np.concatenate(cells_of[r], axis=0)
+        # each point's cell rows, padded to width with copies of the point
+        parts = []
+        for r in q:
+            parts += cells_of[r]
+            if rows[r] < width:
+                parts.append(np.repeat(pts[i0 + r : i0 + r + 1], width - rows[r], axis=0))
+        cands = np.concatenate(parts, axis=0).reshape(len(q), width, pts.shape[1])
         q = np.array(q) if len(q) < end - i0 else slice(None)
         certified[q] = _certify_cells(pts, np.arange(i0, end)[q], d2[q], k[q], current[q],
                                       threshold[q], cands, s)
     return current, threshold, certified
 
 
-def _offer(mesh: _Mesh, word: tuple, M: int, max_depth: int):
-    """(blocks, level, cells) of a point with this word; see _sweep.
+def _blocks(mesh: _Mesh, word: tuple, M: int, max_depth: int):
+    """(blocks, level) of a point with this word; see _sweep.
 
     blocks holds (coords, prefix, lifts) per candidate block, in offer
-    order; level says whether the first block is the whole level, and cells
-    lists the coordinates of the other blocks.
+    order; level says whether the first block is the whole level.
     """
     depth = len(word)
     level = depth >= 1 and M ** depth <= LEVEL_MOVE_CAP
@@ -437,11 +475,18 @@ def _offer(mesh: _Mesh, word: tuple, M: int, max_depth: int):
         blocks.append((mesh.block(word[:-1]), word[:-1], 1))
     if depth < max_depth:
         blocks.append((mesh.block(word), word, 1))
-    return blocks, level, [c for c, _, _ in (blocks[1:] if level else blocks)]
+    return blocks, level
+
+
+def _offer(mesh: _Mesh, word: tuple, M: int, max_depth: int) -> tuple:
+    """The coordinates of the cell blocks (every block but the whole level)
+    of a point with this word."""
+    blocks, level = _blocks(mesh, word, M, max_depth)
+    return tuple(c for c, _, _ in blocks[level:])
 
 
 def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mesh,
-           kernels: dict, budget_left: int) -> int:
+           kernels: dict, budget_left: int, offers: list = None, stop: int = None) -> int:
     """One pass of best-improvement single-point moves; returns accepted count.
 
     Point i is offered the whole level of its depth d while M**d stays within
@@ -454,86 +499,123 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
     caches only coordinates, so a restart on a forked worker runs the same
     float operations as one in this process.
 
+    offers[i] holds point i's offer (_offer), the coordinates of its cell
+    blocks in the mesh cache: one tuple of references per point, so memory
+    stays O(N) and no coordinates are copied.  It depends only on the
+    point's word, so it is kept, across sweeps when the caller passes
+    offers, until the point moves; the blocks with their words are looked
+    up again only for an accepted move.  The point and its cell rows are
+    scored in one call (_candidate_sums).
+
     The first minimum of the candidate values is accepted when it lies
     below threshold = current - 1e-12 (1 + |current|).  Two screens skip
     exact sums that cannot change that outcome: a candidate whose value is
     provably at or above threshold, or provably above another candidate's
     value, is neither the first minimum nor accepted, so it may be given
-    +inf instead.  Level candidates use per-row interval estimates from
-    [R, C, E] (_screened_level_values), rebuilt from each G_d once per
-    sweep and updated with its columns; they run where K N reaches
-    _LEVEL_SCREEN_MIN.  Cell blocks use a near-field lower bound
+    +inf instead.  Cell blocks use a near-field lower bound
     (_certify_cells) where their rows times N reach _CELL_SCREEN_MIN; it is
     formed for a batch of points at once (_screen_batch), together with
     their current values, and a block it does not certify is scored
-    exactly.  A move ends the batch, since its values describe the old
-    point, and the next one waits for _MIN_BATCH points without a move.
-    Elsewhere current and the cells are scored in one call.  Both
-    bounds carry rounding margins, so accepted moves, energies and every
-    artifact are bit-identical to scoring every candidate.
+    exactly.  A point whose cells are certified and that has no level offer
+    cannot move and is passed over.  Level candidates use per-row interval
+    estimates from [R, C, E] (_level_keep), rebuilt from each G_d once per
+    sweep and updated with its columns; they run where K N reaches
+    _LEVEL_SCREEN_MIN.  Within a batch the interval test runs once for all
+    of its level points of one depth, up to _BATCH_TERMS // 2 gathered
+    entries, and the rows it keeps are summed exactly point by point.  A
+    move ends the batch, since its values describe the old point, and the
+    next one waits for _MIN_BATCH points without a move.  Both bounds carry
+    rounding margins, so accepted moves, energies and every artifact are
+    bit-identical to scoring every candidate.
+
+    stop is the index of the previous sweep's last accepted move, or None.
+    A sweep that has accepted nothing when it passes stop ends there: the
+    points after it were scored on this very configuration and did not
+    move, and the exact screens make a point's outcome a function of the
+    configuration.  The index of the last accepted move is kept in
+    state.last_move.
     """
     M = len(fractal.maps)
     pts = state.pts
     N = pts.shape[0]
+    if offers is None:
+        offers = [None] * N
     stats = {}
-    ahead = {}  # offers of the points of the batch not yet reached
+    keeps = {}  # rows the level screen keeps, by point of the batch not yet reached
     batch_cap = max(1, _BATCH_TERMS // N)
     quiet = batch_cap  # points scored since the last accepted move
-    batch_end = 0  # points before batch_end are covered by the batch; 0 = none
+    batch_start = batch_end = 0  # points before batch_end are covered by the batch
     accepted = 0
-    for i in range(N):
-        if accepted >= budget_left:
-            break
-        blocks, level, cells = ahead.pop(i, None) or _offer(mesh, state.words[i], M, max_depth)
-        if not blocks:
-            continue
-        rows = sum(c.shape[0] for c in cells)
-        if rows and rows * N >= _CELL_SCREEN_MIN and (i < batch_end or quiet >= _MIN_BATCH):
-            if i >= batch_end:
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(N):
+            if accepted >= budget_left or (not accepted and stop is not None and i > stop):
+                break
+            if offers[i] is None:
+                offers[i] = _offer(mesh, state.words[i], M, max_depth)
+            cells = offers[i]
+            depth = len(state.words[i])
+            level = depth >= 1 and M ** depth <= LEVEL_MOVE_CAP
+            if not (cells or level):
+                continue
+            R = sum(map(len, cells))
+            if i >= batch_end and R and R * N >= _CELL_SCREEN_MIN and quiet >= _MIN_BATCH:
                 batch_start, batch_end = i, min(N, i + min(batch_cap, 2 * quiet))
                 for r in range(i + 1, batch_end):
-                    ahead[r] = _offer(mesh, state.words[r], M, max_depth)
-                currents, thresholds, certified = _screen_batch(
-                    pts, s, i, [cells] + [ahead[r][2] for r in range(i + 1, batch_end)])
-            current = currents[i - batch_start]
-            threshold = thresholds[i - batch_start]
-            if certified[i - batch_start]:
-                values = np.full(rows, np.inf)
+                    if offers[r] is None:
+                        offers[r] = _offer(mesh, state.words[r], M, max_depth)
+                currents, thresholds, certified = _screen_batch(pts, s, i, offers[i:batch_end])
+                keeps = {}
+            quiet += 1
+            if i < batch_end:
+                current = currents[i - batch_start]
+                threshold = thresholds[i - batch_start]
+                if cells and not certified[i - batch_start]:
+                    values = _candidate_sums(np.concatenate(cells), pts, s, i)
+                elif level:
+                    values = None
+                else:
+                    continue
             else:
-                values = point_energy_sums(np.concatenate(cells, axis=0), pts, s, skip_index=i)
-        else:
-            sums = point_energy_sums(np.concatenate([pts[i][None, :]] + cells, axis=0),
-                                     pts, s, skip_index=i)
-            current, values = sums[0], sums[1:]
-            threshold = current - 1e-12 * (1.0 + abs(current))
-        quiet += 1
-        if level:
-            depth = len(state.words[i])
-            G = kernels.get(depth)
-            if G is None:
-                G = kernels[depth] = _point_kernel(blocks[0][0], pts, s)
-            if G.size >= _LEVEL_SCREEN_MIN:
-                if depth not in stats:
-                    stats[depth] = _level_stats(G)
-                level_values = _screened_level_values(G, stats[depth], i, threshold)
-            else:
-                level_values = _level_values(G, i)
-            values = np.concatenate([level_values, values])
-        j = int(np.argmin(values))
-        if values[j] < threshold:
-            for coords, prefix, lifts in blocks:
-                if j < coords.shape[0]:
-                    break
-                j -= coords.shape[0]
-            state.words[i] = _row_label(j, M, lifts, prefix=prefix)
-            pts[i] = coords[j]
-            for d, G in kernels.items():
-                column = _point_kernel(pts[i : i + 1], mesh.level(d), s)[0]
-                if d in stats:
-                    _update_level_stats(stats[d], G[:, i], column)
-                G[:, i] = column
-            batch_end = quiet = 0
-            accepted += 1
+                sums = _candidate_sums(np.concatenate((pts[i : i + 1],) + cells), pts, s, i)
+                current, values = sums[0], sums[1:]
+                threshold = current - 1e-12 * (1.0 + abs(current))
+            if level:
+                G = kernels.get(depth)
+                if G is None:
+                    G = kernels[depth] = _point_kernel(mesh.level(depth), pts, s)
+                if G.size < _LEVEL_SCREEN_MIN:
+                    level_values = _level_values(G, i)
+                else:
+                    if depth not in stats:
+                        stats[depth] = _level_stats(G)
+                    keep = None
+                    if i < batch_end:
+                        if i not in keeps:
+                            cols = [r for r in range(i, batch_end)
+                                    if len(state.words[r]) == depth]
+                            cols = cols[: max(1, _BATCH_TERMS // 2 // G.shape[0])]
+                            keeps.update(zip(cols, _level_keep(
+                                G, stats[depth], cols, thresholds[np.array(cols) - batch_start])))
+                        keep = keeps.pop(i)
+                    level_values = _screened_level_values(G, stats[depth], i, threshold, keep)
+                values = level_values if values is None else np.concatenate([level_values, values])
+            j = int(np.argmin(values))
+            if values[j] < threshold:
+                for coords, prefix, lifts in _blocks(mesh, state.words[i], M, max_depth)[0]:
+                    if j < coords.shape[0]:
+                        break
+                    j -= coords.shape[0]
+                state.words[i] = _row_label(j, M, lifts, prefix=prefix)
+                pts[i] = coords[j]
+                offers[i] = None
+                for d, G in kernels.items():
+                    column = _point_kernel(pts[i : i + 1], mesh.level(d), s)[0]
+                    if d in stats:
+                        _update_level_stats(stats[d], G[:, i], column)
+                    G[:, i] = column
+                batch_end = quiet = 0
+                state.last_move = i
+                accepted += 1
     return accepted
 
 
@@ -543,19 +625,25 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
     Returns the state, the (energy, least squared pair distance) of its
     points and the accepted moves.  The level kernels built by the first
     sweep that needs them are kept, column by column current, for every
-    later sweep.
+    later sweep, and so are the points' offers until they move.  Each sweep
+    after the first may end at the previous sweep's last accepted move
+    (see _sweep).
     """
     kernels = {}
+    offers = [None] * state.pts.shape[0]
     budget = 10_000 if opts.budget is None else opts.budget
     total = 0
+    stop = None
     for _ in range(_MAX_SWEEPS):
         left = budget - total
         if left <= 0:
             break
-        accepted = _sweep(fractal, s, state, max_depth, mesh, kernels, left)
+        accepted = _sweep(fractal, s, state, max_depth, mesh, kernels, left, offers, stop)
         total += accepted
         if accepted == 0:
             break
+        stop = state.last_move
+    del kernels, offers  # not held through the pair pass
     return state, _pair_pass(state.pts, s), total
 
 
@@ -609,7 +697,7 @@ def _subset_mesh(fractal: Fractal, N: int, depth: int, base_only: bool):
     K = coords.shape[0]
     if K < N:
         raise DomainError(f"only {K} candidates at depth {depth} for N={N}")
-    return coords, lambda rows: [_row_label(i * stride, M, depth) for i in rows]
+    return coords, lambda rows: _level_words(np.asarray(rows) * stride, M, depth)
 
 
 def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
@@ -677,7 +765,7 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
     starts += [restart_indices(opts.seed, r, K, N) for r in range(opts.restarts - 1)]
 
     def run(indices):
-        st = _State([_row_label(i, M, depth) for i in indices], coords[list(indices)])
+        st = _State(_level_words(indices, M, depth), coords[list(indices)])
         return _run_search(fractal, s, st, opts, max_depth, mesh)
 
     if N * K >= _FAN_OUT_MIN:
@@ -773,9 +861,12 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     recursive energy, polished or not.  A stage's points are the image cloud
     of the previous stage's, so a raw stage j keeps stage 0's words and j
     lifts; a polished stage decodes the words it searches on.  No stage's
-    config is read here.
+    config is read here.  Every stage is a local search, so opts.strategy
+    "exhaustive", whose budget caps subsets, raises DomainError.
     """
     opts = opts if opts is not None else SearchOptions()
+    if opts.strategy == "exhaustive":
+        raise DomainError("lift chains search locally; strategy 'exhaustive' is not supported")
     M = len(fractal.maps)
     if M < 2:
         raise HypothesisError("lifting needs at least two maps")

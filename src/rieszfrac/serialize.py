@@ -22,12 +22,12 @@ def fmt_float(x) -> str:
 
 
 def fmt_value(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return fmt_float(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt_float(v)
     return str(v)
 
 
@@ -38,8 +38,7 @@ def write_table(path, header, rows, comment=None):
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_value(v) for v in row])
+        writer.writerows([fmt_value(v) for v in row] for row in rows)
 
 
 def read_table(path):
@@ -57,12 +56,10 @@ def configuration_to_csv(config: Configuration, path):
     header = [f"x{k + 1}" for k in range(p)]
     if config.addresses is not None:
         header.append("address")
-    rows = []
-    for i in range(config.n):
-        row = [fmt_float(v) for v in config.points[i]]
-        if config.addresses is not None:
-            row.append(_word_text(config.addresses[i]))
-        rows.append(row)
+    rows = config.points.tolist()
+    if config.addresses is not None:
+        for row, word in zip(rows, config.addresses):
+            row.append(_word_text(word))
     comment = (
         f"point configuration ({config.fractal_label or 'unlabeled'}); "
         "riesz energies use the ordered-pair convention (i != j counted twice)"

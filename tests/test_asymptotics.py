@@ -305,6 +305,15 @@ def test_geometric_limit_cantor(cantor13):
     assert rep.deltas[-1] < rep.deltas[0]
 
 
+@pytest.mark.parametrize("polish", [True, False])
+def test_geometric_limit_rejects_the_exhaustive_strategy(cantor13, polish):
+    # every stage of a lift chain is a local search, and budget under
+    # "exhaustive" caps subsets, not moves
+    opts = rf.SearchOptions(strategy="exhaustive", budget=1)
+    with pytest.raises(rf.DomainError, match="exhaustive"):
+        rf.geometric_limit(cantor13, 3.0, n0=5, k_max=2, opts=opts, polish=polish)
+
+
 def test_geometric_limit_raw_deltas_obey_tail(cantor13):
     rep = rf.geometric_limit(cantor13, 3.0, n0=2, k_max=5, polish=False)
     assert not rep.polish

@@ -373,6 +373,16 @@ def test_restart_sampler_matches_numpy_choice(seed, restart):
         assert restart_indices(seed, restart, K, N) == want, (K, N)
 
 
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_level_words_match_row_labels(M):
+    from rieszfrac.minimize import _level_words, _row_label
+
+    rng = np.random.default_rng(M)
+    for depth in range(1, 13):
+        rows = rng.integers(0, M ** (depth + 1), size=50).tolist() + [0, M ** (depth + 1) - 1]
+        assert _level_words(rows, M, depth) == [_row_label(row, M, depth) for row in rows]
+
+
 def test_level_kernels_match_fresh_sums_bitwise(cantor13):
     from rieszfrac.energy import _point_kernel
     from rieszfrac.minimize import _level_values, _Mesh, _row_label, _State, _sweep

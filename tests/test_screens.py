@@ -8,6 +8,7 @@ are private module constants, set to 0 here so that small cases run the
 screens too.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -194,6 +195,54 @@ def test_screened_sweep_matches_reference_bitwise(case):
                 assert G.tobytes() == ref_kernels[d].tobytes()
             if expected == 0:
                 break
+
+
+def _reference_search(fractal, s, state, max_depth, budget):
+    """_run_search's loop over _reference_sweep: (accepted moves, level kernels)."""
+    mesh, kernels, total = _Mesh(fractal), {}, 0
+    for _ in range(minimize._MAX_SWEEPS):
+        left = budget - total
+        if left <= 0:
+            break
+        accepted = _reference_sweep(fractal, s, state, max_depth, mesh, kernels, left)
+        total += accepted
+        if accepted == 0:
+            break
+    return total, kernels
+
+
+# the tail stop and the batched level screen act only across sweeps and
+# batches, which only a whole search goes through
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cases())
+def test_search_matches_reference_loop_bitwise(case):
+    fractal, s, state, max_depth, knobs, budget = case
+    ref, new = _copy(state), _copy(state)
+    moves, ref_kernels = _reference_search(fractal, s, ref, max_depth, budget)
+    kernels, accepted = {}, []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in knobs.items():
+            mp.setattr(minimize, name, value)
+        sweep = minimize._sweep
+
+        def spy(*args):
+            accepted.append(sweep(*args))
+            kernels.update(args[5])  # the search's level kernels, kept across sweeps
+            return accepted[-1]
+
+        mp.setattr(minimize, "_sweep", spy)
+        # drawn states may end with coincident points, which the closing
+        # pair pass rejects after the sweeps
+        with contextlib.suppress(rf.SingularConfigurationError):
+            minimize._run_search(fractal, s, new, rf.SearchOptions(budget=budget), max_depth,
+                                 _Mesh(fractal))
+    assert sum(accepted) == moves
+    _assert_same(new, ref)
+    assert kernels.keys() == ref_kernels.keys()
+    for d, G in kernels.items():
+        assert G.tobytes() == ref_kernels[d].tobytes()
 
 
 def test_differential_cases_reach_the_screens():
@@ -385,11 +434,49 @@ def _count_evaluations(monkeypatch):
 
 def test_cell_screen_spares_most_exact_sums(monkeypatch, cantor13):
     exact = [0]
-    _count_calls(monkeypatch, "point_energy_sums", lambda *a: exact.__setitem__(0, exact[0] + 1))
+    _count_calls(monkeypatch, "_candidate_sums", lambda *a: exact.__setitem__(0, exact[0] + 1))
     evaluated = _count_evaluations(monkeypatch)
     res = rf.local_search_minimize(cantor13, 1024, 3.0, rf.SearchOptions(seed=0))
     assert res.record.energy > 0.0
     assert exact[0] < 0.2 * evaluated[0]
+
+
+def test_level_screen_batches_its_columns(monkeypatch, cantor13):
+    widths = []
+    _count_calls(monkeypatch, "_level_keep", lambda G, stats, cols, t: widths.append(len(cols)))
+    rf.local_search_minimize(cantor13, 256, 3.0, rf.SearchOptions(seed=0))
+    assert max(widths) > 1
+
+
+def test_tail_stop_skips_the_converged_tail(monkeypatch, cantor13):
+    # at N = 64 neither screen runs, so a sweep scores each point it visits
+    # in one call; a final sweep that stops at the previous sweep's last
+    # move visits fewer than N points and changes nothing
+    original = minimize._sweep
+
+    def search(stop: bool):
+        sweeps = []
+
+        def sweep(*args):
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                _count_calls(mp, "_candidate_sums", lambda *a: calls.append(1))
+                accepted = original(*(args if stop else args[:8]))
+            sweeps.append((accepted, len(calls)))
+            return accepted
+
+        monkeypatch.setattr(minimize, "_sweep", sweep)
+        return rf.local_search_minimize(cantor13, 64, 3.0, rf.SearchOptions(seed=1)), sweeps
+
+    res, sweeps = search(stop=True)
+    full, full_sweeps = search(stop=False)
+    assert res.words == full.words and res.points.tobytes() == full.points.tobytes()
+    assert [a for a, _ in sweeps] == [a for a, _ in full_sweeps]
+    assert all(visits == 64 for _, visits in full_sweeps)
+    # restart 0 converges in its first sweep; the two random restarts stop early
+    finals = [visits for (moved, _), (accepted, visits) in zip(sweeps, sweeps[1:])
+              if moved and not accepted]
+    assert len(finals) == 2 and max(finals) < 64
 
 
 def test_level_screen_forms_few_exact_rows(monkeypatch, cantor13):
