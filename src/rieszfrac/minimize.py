@@ -20,6 +20,14 @@ scaled from the point's own potential.  Both bounds are rigorous in float
 arithmetic (their docstrings derive the margins), and a candidate is
 skipped only when it can be neither the first minimum nor accepted, so the
 screens change no bit of any result.
+
+Random restarts are pruned the same way.  From a start depth d with
+M**d > LEVEL_MOVE_CAP no move takes a point out of the parent cell of its
+start word, so a start fixes how many points each parent cell holds, and
+with that a lower bound on its final energy (_cell_count_bound).  A random
+start whose bound, less a rounding margin, exceeds the energy of restart
+0's start cannot win and is not run (_can_win); the result is the one
+every restart would give.
 """
 
 from __future__ import annotations
@@ -48,10 +56,11 @@ from .errors import (
     ResourceBudgetError,
     SingularConfigurationError,
 )
-from .fractal import Fractal, _image_cloud, _sq_dists
+from .fractal import ORTHOGONALITY_TOL, Fractal, _image_cloud, _sq_dists
 from .parallel import parallel_map, restart_indices
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
+_MOVE_BUDGET = 10_000  # accepted moves of a search when SearchOptions.budget is None
 # whole-level relocation moves are offered while M**depth stays below this;
 # deeper points fall back to same-parent sibling and child moves only
 LEVEL_MOVE_CAP = 256
@@ -92,6 +101,11 @@ class SearchOptions:
 
     budget caps the subsets of an "exhaustive" enumeration and the accepted
     moves of each search of the other strategies; None is the strategy's default.
+    A local search returns the best of `restarts` searches: restart 0 from
+    the greedy maximin start, the others from seeded random starts.  Where
+    the start depth d has M**d > LEVEL_MOVE_CAP no point leaves the parent
+    cell of its start word, and a random start whose cell-count floor proves
+    it cannot win is not run; the result is the one every restart gives.
     """
 
     depth: int = None
@@ -251,15 +265,24 @@ def _auto_depth(M: int, N: int) -> int:
 
 
 def _farthest_point_indices(coords: np.ndarray, N: int):
-    """Greedy maximin seed starting from the lexicographically first row."""
+    """Greedy maximin seed starting from the lexicographically first row.
+
+    The squared distances to each chosen row are the floats of _sq_dists,
+    formed in buffers kept across picks.
+    """
+    cols = coords.T.copy()
+    d2 = np.full(coords.shape[0], np.inf)
+    new, diff = np.empty((2, coords.shape[0]))
     chosen = [0]
-    d2 = _sq_dists(coords, coords[0][None, :])[:, 0]
     while len(chosen) < N:
-        j = int(np.argmax(d2))
+        x = coords[chosen[-1]].tolist()
+        np.multiply(np.subtract(cols[0], x[0], out=new), new, out=new)
+        for c in range(1, len(x)):
+            new += np.multiply(np.subtract(cols[c], x[c], out=diff), diff, out=diff)
+        j = int(np.minimum(d2, new, out=d2).argmax())
         if d2[j] == 0.0:
             raise DomainError("mesh has too few distinct points for the request")
         chosen.append(j)
-        d2 = np.minimum(d2, _sq_dists(coords, coords[j][None, :])[:, 0])
     return chosen
 
 
@@ -631,7 +654,7 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
     """
     kernels = {}
     offers = [None] * state.pts.shape[0]
-    budget = 10_000 if opts.budget is None else opts.budget
+    budget = _MOVE_BUDGET if opts.budget is None else opts.budget
     total = 0
     stop = None
     for _ in range(_MAX_SWEEPS):
@@ -731,16 +754,132 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
     return _result(fractal, s, pts, words(best), "exhaustive", True, count, _pair_pass(pts, s))
 
 
+def _cell_count_bound(ratios, s: float, diameter: float, n: int) -> np.ndarray:
+    """B[0..n]: any k points of the attractor have s-energy at least B[k].
+
+    B(0) = B(1) = 0 and B(k) is the least sum_m r_m**(-s) B(k_m) +
+    (k**2 - sum_m k_m**2) D**(-s) over the splits (k_1..k_M) of k with no
+    part equal to k, D the diameter: the all-depth count tree (Borodachov,
+    Hardin & Saff, Discrete Energy on Rectifiable Sets, 2019).  Points with
+    distinct addresses first part in a cell of ratio rho <= 1, where each
+    ordered pair across its children lies within rho D and each child holds
+    a scaled smaller case, so their energy is at least rho**(-s) B(k).  The
+    splits form a min-plus convolution over the maps: a part i on map m
+    joined to j points on the maps before it adds r_m**(-s) B(i) +
+    2 i j D**(-s).  Every term is nonnegative, so the float B[k] is within
+    gamma_L of the real one, L = (k - 1)(2M + 3) + 4 roundings on any path
+    of its expression (a power counting two).
+    """
+    w = np.asarray(ratios, dtype=float) ** -s
+    far = np.float64(diameter) ** -s
+    M = w.shape[0]
+    B = np.zeros(n + 1)
+    Q = np.zeros((M, n + 1))  # Q[m, j]: least sum over the splits of j among maps 0..m
+    for k in range(2, n + 1):
+        i = np.arange(1, k)
+        inner = np.array([np.inf] + [np.min(Q[m - 1, k - 1 : 0 : -1] + w[m] * B[1:k]
+                                            + 2.0 * far * i * (k - i)) for m in range(1, M)])
+        B[k] = inner.min()
+        Q[:, k] = np.minimum.accumulate(np.minimum(inner, w * B[k]))
+    return B
+
+
+def _can_win(fractal: Fractal, s: float, mesh: _Mesh, starts: list, depth: int,
+             max_depth: int, budget: int) -> list:
+    """The indices of the starts whose searches can win: 0 and every random
+    start whose count floor does not prove that it loses.
+
+    From a depth d with M**d > LEVEL_MOVE_CAP no point is offered its level,
+    and sibling and child offers keep it in the parent cell w[:-1] of its
+    start word w, which holds M**2 rows of level d.  So a search keeps the
+    count n_c of each parent cell c, and its final points have real energy
+    at least S = sum_c r_c**(-s) B(n_c) (_cell_count_bound; r_c is the
+    ratio of c, and pairs in distinct parent cells count 0).  Start r is
+    skipped when fl(S_r (1 - margin)) > E0, the _pair_pass energy of
+    restart 0's start: then its final energy exceeds restart 0's, and ties
+    go to restart 0 anyway.  With these relative errors (u the unit
+    roundoff, p the ambient dimension, J = max_depth) start r ends at or
+    above (1 - eps_P - eps_X - eps_S) S_r and restart 0 at or below
+    (1 + 3 eps_P + 12 eps_V budget) E0, so the margin is
+    2 (4 eps_P + eps_X + eps_S + 12 eps_V budget), doubled for the
+    second-order terms and the rounding of the margin and of the test:
+
+    - coordinates: a map, applied in floats to a point of norm at most
+      X = max |f_b| + 2D, is off by at most gamma_(p+2) (sqrt(p) X + |t|)
+      <= e = (p + 2)(p + 3) u X, as |t| <= 2X; a rotation whose Gram
+      deviation passed ORTHOGONALITY_TOL has norm at most lam = 1 +
+      p ORTHOGONALITY_TOL + 4 p**2 u, so the maps contract by lam r_max < 1
+      and every mesh point lies within delta = 2 (res + e) / (1 - lam r_max)
+      of its real point psi_w(f_b), res the fixed points' float residual.
+      Two points that part in a cell of depth j <= J, ratio rho >= r_min**J,
+      lie at most rho D lam**J + 2 delta apart, so the kernels and S shrink
+      by at most eps_X = s (lam**J - 1 + 2 delta / (r_min**J D));
+    - the floor: S in floats, from B (L roundings), the weights (3 per
+      letter) and a sum over the cells, is within eps_S = 2 (M**2 (2M + 3)
+      + 3d + M**d) u;
+    - _pair_pass, for E0 and for a final energy: a float sum of under N**2
+      kernels, each within eta <= (2p + 8)(s + 1) u / 2 of the kernel of
+      its float points, so eps_P = N**2 u + (2p + 8)(s + 1) u;
+    - acceptance: a move needs the point's float potential to fall, and a
+      potential is within eps_V = N u + (2p + 8)(s + 1) u, so a move may
+      raise the real energy by 3 eps_V of it (a point's potential is at most
+      half the energy) and restart 0 ends at most (1 + 3 eps_V)**budget <=
+      1 + 6 eps_V budget above its start.
+
+    Nothing is pruned unless every guard holds: 0 < D <= 2**480 and
+    (3D)**(-s) >= 2**-960, so every kernel and squared distance of
+    distinct points sits in the normal range; lam r_max < 1; delta <= D / 2;
+    2 delta < sigma (r_min (2 - lam))**J (2 - lam bounds the rotations
+    below), so points with distinct addresses stay distinct floats and no
+    start holds coincident points, which no search creates; the margin is
+    at most 1/8; and 8 E0 < min(2 delta, 2**-485)**(-s), so a pair closer
+    than 2**-485, or two points with one address, alone outweighs restart
+    0's final energy.
+    """
+    M, p, N, J = len(fractal.maps), fractal.ambient_dim, len(starts[0]), max_depth
+    D, maps, fixed, r_min = fractal.diameter, fractal.maps, mesh._fixed_points, min(fractal.ratios)
+    everyone = list(range(len(starts)))
+    if len(starts) < 2 or M ** depth <= LEVEL_MOVE_CAP or not 0.0 < D <= 2.0 ** 480 \
+            or s * math.log2(3.0 * D) > 960.0:
+        return everyone
+    lam = 1.0 + p * ORTHOGONALITY_TOL + 4 * p * p * _U
+    e = (p + 2) * (p + 3) * _U * (max(math.hypot(*f) for f in fixed) + 2.0 * D)
+    res = max(math.hypot(*(f - m.apply(f))) for m, f in zip(maps, fixed))
+    delta = 2.0 * (res + e) / max(1.0 - lam * fractal.r_max, _U)  # > D / 2 unless lam r_max < 1
+    if not (delta <= 0.5 * D and 2.0 * delta < fractal.sigma * (r_min * (2.0 - lam)) ** J):
+        return everyone
+    eta = (2 * p + 8) * (s + 1) * _U
+    margin = 2.0 * (4.0 * (N * N * _U + eta) + s * (lam ** J - 1.0 + 2.0 * delta / (r_min ** J * D))
+                    + 2.0 * (M * M * (2 * M + 3) + 3 * depth + M ** depth) * _U
+                    + 12.0 * budget * (N * _U + eta))
+    top = _pair_pass(mesh.level(depth)[starts[0]], s)[0]
+    if not (margin <= 0.125 and math.log(8.0 * top) < -s * math.log(min(2.0 * delta, 2.0 ** -485))):
+        return everyone
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = _cell_count_bound(fractal.ratios, s, D, M * M)
+        weights = np.ones(1)
+        for _ in range(depth - 1):
+            weights = np.outer(np.asarray(fractal.ratios) ** -s, weights).ravel()
+        return [0] + [r for r in range(1, len(starts)) if not (1.0 - margin) * (weights * B[
+            np.bincount(np.asarray(starts[r]) // (M * M), minlength=weights.size)]).sum() > top]
+
+
 def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions):
     """Best (state, pair, moves) over opts.restarts searches, first on ties.
 
     Restart 0 starts from the greedy maximin seed; random restart r from
     restart_indices(opts.seed, r, K, N), numpy's seeded N-subset of the K
     mesh points at the starting depth, computed in pure Python.  Each
-    restart is a pure function of its start.  Where N K reaches
-    _FAN_OUT_MIN the restarts run on forked workers, one per usable core
-    (parallel_map), and in order in this process otherwise; the winner and
-    every bit of it are the same either way.
+    restart is a pure function of its start.  Where the start depth d has
+    M**d > LEVEL_MOVE_CAP no level move is offered, and sibling and child
+    moves keep each point in the parent cell of its start word, so a start
+    fixes its count per parent cell.  A random start whose cell-count floor,
+    less a rounding margin, exceeds the _pair_pass energy of restart 0's
+    start cannot win and is not run (_can_win derives the margin).  Where
+    N K reaches _FAN_OUT_MIN the starts left run on forked workers, one per
+    usable core (parallel_map, which runs a lone start in this process),
+    and in order in this process otherwise; the winner and every bit of it
+    are those of running every restart, either way.
     """
     if fractal.sigma <= 0.0:
         raise HypothesisError(
@@ -768,6 +907,8 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
         st = _State(_level_words(indices, M, depth), coords[list(indices)])
         return _run_search(fractal, s, st, opts, max_depth, mesh)
 
+    budget = _MOVE_BUDGET if opts.budget is None else opts.budget
+    starts = [starts[r] for r in _can_win(fractal, s, mesh, starts, depth, max_depth, budget)]
     if N * K >= _FAN_OUT_MIN:
         outcomes = parallel_map(run, starts)
     else:
