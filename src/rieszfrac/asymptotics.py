@@ -25,7 +25,7 @@ from .fractal import Fractal, _word_text, anchor_cloud, cell_diameter
 from .minimize import (
     SearchOptions,
     _auto_depth,
-    _row_label,
+    _level_words,
     lift_chain,
     local_search_minimize,
 )
@@ -436,7 +436,7 @@ def empirical_cell_measure(fractal: Fractal, config, depth: int) -> CellMeasureR
         raise DomainError("depth must be at least 1")
     M = len(fractal.maps)
     # anchor_cloud's rows: depth lifts of the one base anchor
-    words = [_row_label(row, M, depth, ((),)) for row in range(M ** depth)]
+    words = _level_words(range(M ** depth), M, depth, ((),))
     anchors = None
     counts = {w: 0 for w in words}
     pts = config.points

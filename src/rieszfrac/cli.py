@@ -18,7 +18,7 @@ could read.  Ranges are checked by the library, as for flags, and a bad
 flag is a UsageError, printed by main as JSON.  _dispatch and run then
 share one executor, _execute: load the fractal, create the output
 directory, call the runner from _RUNNERS.  An unset flag is no param, so
-each default is stated once, by the parser, the runner or SearchOptions.
+each default is stated once, by the parser, the runner or the library.
 Which search runs, and what its budget caps, is decided by
 minimize.local_search_minimize alone.
 """
@@ -51,7 +51,6 @@ from .errors import (
 )
 from .fractal import _read_json, load_fractal, moran_dimension, parse_number
 from .minimize import (
-    DEFAULT_SUBSET_BUDGET,
     _STRATEGIES,
     SearchOptions,
     _auto_depth,
@@ -127,7 +126,7 @@ def _run_packing(fractal, params: dict, out_dir: str) -> dict:
     depth = params.get("depth")
     if depth is None:
         depth = _auto_depth(len(fractal.maps), n)
-    result = best_packing(fractal, n, depth, params.get("budget", DEFAULT_SUBSET_BUDGET))
+    result = best_packing(fractal, n, depth, params.get("budget"))
     summary = {"N": n, "depth": depth, "delta": result.delta,
                "certified": result.certified, "strategy": result.strategy}
     _write_row(out_dir, "packing_results.csv", summary,

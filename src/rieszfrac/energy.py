@@ -261,12 +261,11 @@ def point_energy_sums(candidates, config, s: float, skip_index: int = None) -> n
 def _candidate_sums(cands: np.ndarray, pts: np.ndarray, s: float, skip_index: int) -> np.ndarray:
     """point_energy_sums(cands, pts, s, skip_index), the same floats.
 
-    Up to PAIR_BLOCK candidates make one block of point_energy_sums, formed
-    here by one call with no errstate of its own: the caller ignores divide
-    and overflow.  More candidates go through point_energy_sums.
+    A row's sum does not depend on the rows beside it, so all candidates
+    (a sweep's point and its cell blocks, at most 1 + 2 M**2 rows) form one
+    block, in one call with no errstate of its own: the caller ignores
+    divide and overflow.
     """
-    if cands.shape[0] > PAIR_BLOCK:
-        return point_energy_sums(cands, pts, s, skip_index=skip_index)
     k = _sq_dists(cands, pts)
     np.power(k, -0.5 * s, out=k)
     k[:, skip_index] = 0.0

@@ -5,7 +5,9 @@ point of map b under the cell word w.  At any depth this mesh contains every
 cell corner (e.g. both endpoints of each Cantor cell), so optima such as
 {0, 1} are exactly representable.  A point's only label is its cell word
 w, a tuple of map indices, which is also its address in the config a
-MinimizeResult builds.  exhaustive_minimize enumerates subsets of the plain
+MinimizeResult builds.  One decoder, _level_words, turns the rows of a
+lifted cloud into words; the mesh keeps the words of each level a move
+lands on (_Mesh.words).  exhaustive_minimize enumerates subsets of the plain
 base anchors psi_w(b1) (the base-1 rows of the mesh) by default, matching
 the certified-oracle contract; pass mesh="endpoint" to certify over the
 full symbolic mesh.
@@ -142,7 +144,11 @@ class MinimizeResult:
     pass that sums the energy, or for a raw lift stage from the recursion
     of lift_chain, whose cross term is `cross` (None for every other
     result).  config, the points addressed by their decoded words
-    (_row_label), is built on its first read and kept.
+    (_level_words), is built on its first read and kept.
+
+    iterations counts the winning restart's accepted moves for a local
+    search, the subsets scored for an exhaustive one and a lift stage's own
+    moves (0 when raw): "lift-seeded" reports its last polished stage's only.
     """
 
     points: np.ndarray
@@ -161,7 +167,7 @@ class MinimizeResult:
         words, n = self.words, self.points.shape[0]
         if self.lifts:
             M = round((n // len(words)) ** (1.0 / self.lifts))  # n = len(words) * M**lifts
-            words = (_row_label(row, M, self.lifts, self.words) for row in range(n))
+            words = _level_words(range(n), M, self.lifts, self.words)
         return Configuration(self.points, addresses=words, fractal_label=self.fractal_label)
 
 
@@ -186,18 +192,18 @@ class _State:
 
 
 class _Mesh:
-    """Lazily built symbolic levels and cached cell blocks, coordinates only.
+    """Lazily built symbolic levels and cached cell blocks.
 
     Level d is the image cloud of d lifts of the M fixed points, so row
     q*M + (b-1) is psi_w(f_b) for the fixed point f_b of map b and the
-    (q+1)-th word w of depth d; _row_label(row, M, d) decodes w.  The block
-    of a word w is apply_word(w, level 1), whose row words are w followed by
-    one letter (_row_label(row, M, 1, prefix=w)).  It is built as the first
-    map of w applied to the (cached) block of the rest of w, the float
-    operations of apply_word.  A
-    point's sibling candidates are its parent's block and its child
-    candidates its own.  Blocks are cached by word.  Restarts that run in
-    order share the caches; a restart on a forked worker (parallel_map)
+    (q+1)-th word w of depth d; words(d), built the first time a move lands
+    on level d, holds the word of every row.  The block of a word w is
+    apply_word(w, level 1), whose row words are w followed by those of
+    level 1 (w + words(1)[row]).  It is built as the first map of w applied
+    to the (cached) block of the rest of w, the float operations of
+    apply_word.  A point's sibling candidates are its parent's block and its
+    child candidates its own.  Blocks are cached by word.  Restarts that run
+    in order share the caches; a restart on a forked worker (parallel_map)
     fills its own copy, with the same floats.  The fixed points are solved
     for once, here, so that no worker enters LAPACK.
     """
@@ -206,12 +212,19 @@ class _Mesh:
         self.fractal = fractal
         self._fixed_points = fractal.fixed_points()
         self._levels = {}
+        self._words = {}
         self._blocks = {}
 
     def level(self, depth: int) -> np.ndarray:
         if depth not in self._levels:
             self._levels[depth] = _image_cloud(self.fractal, self._fixed_points, depth)
         return self._levels[depth]
+
+    def words(self, depth: int) -> list:
+        if depth not in self._words:
+            M = len(self.fractal.maps)
+            self._words[depth] = _level_words(range(M ** (depth + 1)), M, depth)
+        return self._words[depth]
 
     def block(self, word):
         if not word:
@@ -223,35 +236,24 @@ class _Mesh:
         return coords
 
 
-def _row_label(row: int, M: int, lifts: int, base_words=None, prefix=()) -> tuple:
-    """Cell word of `row` of `lifts` lifts of a base of n rows (_image_cloud).
+def _level_words(rows, M: int, lifts: int, base_words=None) -> list:
+    """Cell words of `rows` of `lifts` lifts of a base of n rows (_image_cloud),
+    from one pass over the base-M digits of all rows at once.
 
     Row q*n + b is psi_v(x_b) for the (q+1)-th word v of length lifts, so
-    its word is prefix + v + base_words[b].  base_words None is the mesh's
-    base, the M fixed points, which add no letter: psi_v(f_b) lies in the cell v.
+    its word is v + base_words[b].  base_words None is the mesh's base, the
+    M fixed points, which add no letter: psi_v(f_b) lies in the cell v.
     """
-    if base_words is None:
-        q, base = row // M, ()
-    else:
-        q, b = divmod(row, len(base_words))
-        base = base_words[b]
-    letters = []
-    for _ in range(lifts):
-        q, r = divmod(q, M)
-        letters.append(r + 1)
-    letters.reverse()
-    return prefix + tuple(letters) + base
-
-
-def _level_words(rows, M: int, depth: int) -> list:
-    """[_row_label(row, M, depth) for row in rows], from one pass over the
-    base-M digits of all rows at once."""
-    q = np.asarray(rows, dtype=np.int64) // M
-    letters = np.empty((depth, q.shape[0]), dtype=np.int64)
-    for k in range(depth - 1, -1, -1):
+    n = M if base_words is None else len(base_words)
+    q, b = np.divmod(np.asarray(rows, dtype=np.int64), n)
+    letters = np.empty((lifts, q.shape[0]), dtype=np.int64)
+    for k in range(lifts - 1, -1, -1):
         q, r = np.divmod(q, M)
         letters[k] = r + 1
-    return list(map(tuple, letters.T.tolist()))
+    words = map(tuple, letters.T.tolist())
+    if base_words is None:
+        return list(words)
+    return [w + base_words[j] for w, j in zip(words, b.tolist())]
 
 
 def _auto_depth(M: int, N: int) -> int:
@@ -372,15 +374,9 @@ def _level_keep(G: np.ndarray, stats: list, cols, thresholds) -> list:
             for b, threshold in enumerate(thresholds)]
 
 
-def _screened_level_values(G: np.ndarray, stats: list, i: int, threshold: float,
-                           rows: np.ndarray = None):
-    """_level_values(G, i) on the rows that can still win, +inf on the others.
-
-    rows are the indices of those rows (_level_keep); they are found here
-    when not given.
-    """
-    if rows is None:
-        rows = _level_keep(G, stats, [i], [threshold])[0]
+def _screened_level_values(G: np.ndarray, i: int, rows: np.ndarray):
+    """_level_values(G, i) on `rows`, the indices of the rows that can still
+    win (_level_keep), and +inf on the others."""
     values = np.full(G.shape[0], np.inf)
     if rows.size:
         values[rows] = _level_values(G, i, rows)
@@ -545,7 +541,8 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
     sweep and updated with its columns; they run where K N reaches
     _LEVEL_SCREEN_MIN.  Within a batch the interval test runs once for all
     of its level points of one depth, up to _BATCH_TERMS // 2 gathered
-    entries, and the rows it keeps are summed exactly point by point.  A
+    entries, and outside a batch for the point alone; the rows it keeps are
+    summed exactly point by point (_screened_level_values).  A
     move ends the batch, since its values describe the old point, and the
     next one waits for _MIN_BATCH points without a move.  Both bounds carry
     rounding margins, so accepted moves, energies and every artifact are
@@ -564,7 +561,7 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
     if offers is None:
         offers = [None] * N
     stats = {}
-    keeps = {}  # rows the level screen keeps, by point of the batch not yet reached
+    keeps = {}  # rows the level screen keeps, by point not yet scored
     batch_cap = max(1, _BATCH_TERMS // N)
     quiet = batch_cap  # points scored since the last accepted move
     batch_start = batch_end = 0  # points before batch_end are covered by the batch
@@ -611,16 +608,14 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
                 else:
                     if depth not in stats:
                         stats[depth] = _level_stats(G)
-                    keep = None
-                    if i < batch_end:
-                        if i not in keeps:
-                            cols = [r for r in range(i, batch_end)
-                                    if len(state.words[r]) == depth]
-                            cols = cols[: max(1, _BATCH_TERMS // 2 // G.shape[0])]
-                            keeps.update(zip(cols, _level_keep(
-                                G, stats[depth], cols, thresholds[np.array(cols) - batch_start])))
-                        keep = keeps.pop(i)
-                    level_values = _screened_level_values(G, stats[depth], i, threshold, keep)
+                    if i >= batch_end:
+                        keeps[i] = _level_keep(G, stats[depth], [i], [threshold])[0]
+                    elif i not in keeps:
+                        cols = [r for r in range(i, batch_end) if len(state.words[r]) == depth]
+                        cols = cols[: max(1, _BATCH_TERMS // 2 // G.shape[0])]
+                        keeps.update(zip(cols, _level_keep(
+                            G, stats[depth], cols, thresholds[np.array(cols) - batch_start])))
+                    level_values = _screened_level_values(G, i, keeps.pop(i))
                 values = level_values if values is None else np.concatenate([level_values, values])
             j = int(np.argmin(values))
             if values[j] < threshold:
@@ -628,7 +623,7 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
                     if j < coords.shape[0]:
                         break
                     j -= coords.shape[0]
-                state.words[i] = _row_label(j, M, lifts, prefix=prefix)
+                state.words[i] = prefix + mesh.words(lifts)[j]
                 pts[i] = coords[j]
                 offers[i] = None
                 for d, G in kernels.items():
@@ -715,12 +710,12 @@ def _subset_mesh(fractal: Fractal, N: int, depth: int, base_only: bool):
     if depth < 1:
         raise DomainError("depth must be at least 1")
     M = len(fractal.maps)
-    stride = M if base_only else 1
-    coords = _Mesh(fractal).level(depth)[::stride]
+    coords = _Mesh(fractal).level(depth)[:: M if base_only else 1]
+    base = ((),) if base_only else None  # depth lifts of the one anchor, which adds no letter
     K = coords.shape[0]
     if K < N:
         raise DomainError(f"only {K} candidates at depth {depth} for N={N}")
-    return coords, lambda rows: _level_words(np.asarray(rows) * stride, M, depth)
+    return coords, lambda rows: _level_words(rows, M, depth, base)
 
 
 def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
@@ -929,7 +924,9 @@ def local_search_minimize(fractal: Fractal, N: int, s: float,
     (opts.depth, else the least depth with M**l >= N) within opts.budget
     subsets (default DEFAULT_SUBSET_BUDGET), and every other search stops at
     opts.budget accepted moves (default 10,000); "lift-seeded" polishes a
-    lift chain when N is n0 * M**k with k >= 1 and searches otherwise.
+    lift chain when the ratios are equal and N is n0 * M**k with k >= 1, and
+    searches otherwise: a lift puts equal counts in the cells, which on
+    unequal ratios is not the natural measure.
     """
     opts = opts if opts is not None else SearchOptions()
     if opts.strategy == "exhaustive":
@@ -941,7 +938,7 @@ def local_search_minimize(fractal: Fractal, N: int, s: float,
         if M < 2:
             raise HypothesisError("lifting needs at least two maps")
         n0, k = N, 0
-        while n0 % M == 0 and n0 // M >= 2:
+        while fractal.equal_ratios and n0 % M == 0 and n0 // M >= 2:
             n0 //= M
             k += 1
         if k:
@@ -958,7 +955,7 @@ def lift(fractal: Fractal, config: Configuration) -> Configuration:
         raise SingularConfigurationError("lift produced coincident points (maps overlap)")
     addrs = None
     if config.addresses is not None:
-        addrs = [_row_label(row, M, 1, config.addresses) for row in range(pts.shape[0])]
+        addrs = _level_words(range(pts.shape[0]), M, 1, config.addresses)
     return Configuration(pts, addresses=addrs, fractal_label=config.fractal_label)
 
 
@@ -1045,7 +1042,7 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
         if fractal.equal_ratios:
             _check_lift_bound(fractal, s, n_prev, energy, lifted)
         if polish:
-            state = _State([_row_label(row, M, 1, words) for row in range(M * n_prev)], pts)
+            state = _State(_level_words(range(M * n_prev), M, 1, words), pts)
             max_depth = max(len(w) for w in state.words) + 8
             state, (energy, sep2), moves = _run_search(fractal, s, state, opts, max_depth, mesh)
             words, pts, lifts, cross = state.words, state.pts, 0, None
@@ -1057,13 +1054,14 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     return stages
 
 
-def best_packing(fractal: Fractal, N: int, depth: int,
-                 budget: int = DEFAULT_SUBSET_BUDGET) -> PackingResult:
+def best_packing(fractal: Fractal, N: int, depth: int, budget: int = None) -> PackingResult:
     """Maximize the least pairwise distance over the depth-l symbolic mesh.
 
-    Exhaustive (certified) while the subset count fits the budget, otherwise
-    a farthest-point greedy start with single-point exchange sweeps.
+    Exhaustive (certified) while the subset count fits the budget (None is
+    DEFAULT_SUBSET_BUDGET), otherwise a farthest-point greedy start with
+    single-point exchange sweeps.
     """
+    budget = DEFAULT_SUBSET_BUDGET if budget is None else budget
     if budget < 1:
         raise DomainError("budget must be positive")
     coords, words = _subset_mesh(fractal, N, depth, base_only=False)

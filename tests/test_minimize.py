@@ -16,6 +16,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from word_reference import _row_label
 
 import rieszfrac as rf
 
@@ -117,7 +120,7 @@ def _rotating_ifs():
 
 @pytest.mark.parametrize("name", ["cantor", "dust", "two-scale", "rotating"])
 def test_mesh_base_rows_are_the_anchor_cloud(name, cantor13, mixed_fractal):
-    from rieszfrac.minimize import _Mesh, _row_label, _subset_mesh
+    from rieszfrac.minimize import _Mesh, _subset_mesh
 
     fractal = {"cantor": cantor13, "dust": rf.cantor_dust_2d(0.25),
                "two-scale": mixed_fractal, "rotating": _rotating_ifs()}[name]
@@ -129,14 +132,13 @@ def test_mesh_base_rows_are_the_anchor_cloud(name, cantor13, mixed_fractal):
         assert coords[::M].tobytes() == anchors.tobytes()
         # row q * M + b - 1 is the point with base b in the q-th cell
         cells = list(itertools.product(range(1, M + 1), repeat=depth))
-        words = [_row_label(row, M, depth) for row in range(coords.shape[0])]
-        assert words == [w for w in cells for _ in range(M)]
+        assert mesh.words(depth) == [w for w in cells for _ in range(M)]
         # the block of a word w is apply_word(w, level 1), its rows in the
         # cells w + (m,)
         for w in cells[:: max(1, len(cells) // 5)]:
             block = mesh.block(w)
             assert block.tobytes() == fractal.apply_word(w, mesh.level(1)).tobytes()
-            words = [_row_label(row, M, 1, prefix=w) for row in range(block.shape[0])]
+            words = [w + mesh.words(1)[row] for row in range(block.shape[0])]
             assert words == [w + (m,) for m in range(1, M + 1) for _ in range(M)]
         if M ** depth <= 256:
             rows = range(M ** depth)
@@ -302,6 +304,19 @@ def test_strategy_dispatch(cantor13):
         assert res.cross is None
 
 
+@pytest.mark.parametrize("N", [96, 300])
+def test_lift_seeded_searches_on_unequal_ratios(mixed_fractal, N):
+    # a lift puts equal counts in cells of unequal measure, so on unequal
+    # ratios lift-seeded runs the plain local search at every N
+    lifted = rf.local_search_minimize(
+        mixed_fractal, N, 3.0, rf.SearchOptions(strategy="lift-seeded", seed=1))
+    plain = rf.local_search_minimize(mixed_fractal, N, 3.0, rf.SearchOptions(seed=1))
+    assert lifted.strategy == plain.strategy == "local-search"
+    assert lifted.words == plain.words
+    assert lifted.points.tobytes() == plain.points.tobytes()
+    assert lifted.record == plain.record
+
+
 def test_search_options_validation():
     with pytest.raises(rf.DomainError):
         rf.SearchOptions(restarts=0)
@@ -374,25 +389,52 @@ def test_restart_sampler_matches_numpy_choice(seed, restart):
 
 
 @pytest.mark.parametrize("M", [2, 3, 4])
-def test_level_words_match_row_labels(M):
-    from rieszfrac.minimize import _level_words, _row_label
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_level_words_match_row_labels(M, data):
+    from rieszfrac.minimize import _level_words
 
+    lifts = data.draw(st.integers(0, 12))
+    # the mesh's M fixed points, the one anchor, or the words of a stage
+    base_words = data.draw(st.sampled_from([None, ((),), "stage"]))
+    if base_words == "stage":
+        word = st.lists(st.integers(1, M), max_size=6).map(tuple)
+        base_words = tuple(data.draw(st.lists(word, min_size=1, max_size=8)))
+    n = M if base_words is None else len(base_words)
+    rows = data.draw(st.lists(st.integers(0, n * M ** lifts - 1), max_size=40)) \
+        + [0, n * M ** lifts - 1]
+    for chosen in (rows, []):
+        assert _level_words(chosen, M, lifts, base_words) \
+            == [_row_label(row, M, lifts, base_words) for row in chosen]
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_mesh_words_match_row_labels(M):
+    from rieszfrac.minimize import _Mesh
+
+    mesh = _Mesh(rf.uniform_line(M, 0.2))
     rng = np.random.default_rng(M)
-    for depth in range(1, 13):
-        rows = rng.integers(0, M ** (depth + 1), size=50).tolist() + [0, M ** (depth + 1) - 1]
-        assert _level_words(rows, M, depth) == [_row_label(row, M, depth) for row in rows]
+    for depth in range(1, 9):
+        words = mesh.words(depth)
+        assert len(words) == mesh.level(depth).shape[0]
+        assert words == [_row_label(row, M, depth) for row in range(len(words))]
+        # the rows of the block of a word w lie in the cells w + a level-1 word
+        for w in map(tuple, rng.integers(1, M + 1, size=(5, depth)).tolist()):
+            rows = range(mesh.block(w).shape[0])
+            assert [w + mesh.words(1)[j] for j in rows] \
+                == [_row_label(j, M, 1, prefix=w) for j in rows]
 
 
 def test_level_kernels_match_fresh_sums_bitwise(cantor13):
     from rieszfrac.energy import _point_kernel
-    from rieszfrac.minimize import _level_values, _Mesh, _row_label, _State, _sweep
+    from rieszfrac.minimize import _level_values, _level_words, _Mesh, _State, _sweep
 
     s, N, depth = 3.0, 24, 5
     mesh = _Mesh(cantor13)
     coords = mesh.level(depth)
     M = len(cantor13.maps)
     idx = np.sort(np.random.default_rng(5).choice(coords.shape[0], size=N, replace=False))
-    state = _State([_row_label(i, M, depth) for i in idx], coords[idx])
+    state = _State(_level_words(idx, M, depth), coords[idx])
     kernels = {}
     accepted = []
     while not accepted or accepted[-1] > 0:

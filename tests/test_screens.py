@@ -15,15 +15,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from word_reference import _row_label
 
 import rieszfrac as rf
 from rieszfrac import minimize
 from rieszfrac.energy import _point_kernel, _point_rows, point_energy_sums
 from rieszfrac.minimize import (
     LEVEL_MOVE_CAP,
+    _level_keep,
     _level_stats,
     _Mesh,
-    _row_label,
     _screened_level_values,
     _State,
     _update_level_stats,
@@ -287,7 +288,7 @@ def _check_level_screen(G, i):
     finite = exact[np.isfinite(exact)]
     least = finite.min() if finite.size else math.inf
     for threshold in (math.inf, np.nextafter(least, math.inf), least, 0.0):
-        screened = _screened_level_values(G, stats, i, threshold)
+        screened = _screened_level_values(G, i, _level_keep(G, stats, [i], [threshold])[0])
         assert _decision(screened, threshold) == _decision(exact, threshold)
         j = int(np.argmin(exact))
         if threshold == math.inf:
@@ -439,6 +440,24 @@ def test_cell_screen_spares_most_exact_sums(monkeypatch, cantor13):
     res = rf.local_search_minimize(cantor13, 1024, 3.0, rf.SearchOptions(seed=0))
     assert res.record.energy > 0.0
     assert exact[0] < 0.2 * evaluated[0]
+
+
+def test_candidate_sums_beyond_one_block_match_point_energy_sums(monkeypatch):
+    # the sibling and child blocks of uniform(8, 0.05) hold 64 rows each, so
+    # past the level cap a point's cells are scored in one call on 128 rows
+    widths = []
+    original = minimize._candidate_sums
+
+    def checked(cands, pts, s, skip_index):
+        sums = original(cands, pts, s, skip_index)
+        assert sums.tobytes() == point_energy_sums(cands, pts, s, skip_index).tobytes()
+        widths.append(cands.shape[0])
+        return sums
+
+    monkeypatch.setattr(minimize, "_candidate_sums", checked)
+    # one restart runs in this process
+    rf.local_search_minimize(rf.uniform_line(8, 0.05), 100, 2.0, rf.SearchOptions(restarts=1))
+    assert max(widths) > rf.energy.PAIR_BLOCK
 
 
 def test_level_screen_batches_its_columns(monkeypatch, cantor13):
