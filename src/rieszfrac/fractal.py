@@ -337,10 +337,20 @@ def _image_cloud(fractal: Fractal, base: np.ndarray, depth: int,
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(K, N) squared distances, accumulated coordinate by coordinate."""
-    d2 = (a[:, 0, None] - b[None, :, 0]) ** 2
-    for k in range(1, a.shape[1]):
-        d2 += (a[:, k, None] - b[None, :, k]) ** 2
+    """(..., K, N) squared distances between the rows of a (..., K, p) and
+    b (..., N, p), accumulated coordinate by coordinate.
+
+    The floats are those of (a_k - b_k)**2 summed in coordinate order, but
+    formed in place: the result and, for p > 1, one scratch array of its
+    size are all that is allocated.
+    """
+    d2 = np.subtract(a[..., :, None, 0], b[..., None, :, 0])
+    np.multiply(d2, d2, out=d2)
+    if a.shape[-1] > 1:
+        diff = np.empty_like(d2)
+        for k in range(1, a.shape[-1]):
+            np.subtract(a[..., :, None, k], b[..., None, :, k], out=diff)
+            d2 += np.multiply(diff, diff, out=diff)
     return d2
 
 

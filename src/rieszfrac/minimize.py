@@ -30,6 +30,15 @@ with that a lower bound on its final energy (_cell_count_bound).  A random
 start whose bound, less a rounding margin, exceeds the energy of restart
 0's start cannot win and is not run (_can_win); the result is the one
 every restart would give.
+
+The candidates are the rows of the mesh (_Mesh), which follows the
+address tree: the block of cell word w is a slice of the level cloud of
+depth |w| + 1, and is served as a read-only view of it once that level is
+built.  A search builds the level below its start depth before its
+restarts fan out, where that level fits DEFAULT_CLOUD_BUDGET, so the
+blocks of its start words are views that every restart shares.  From a
+start depth d that level holds M**(d+2) rows, as many as the child blocks
+of all M**d words of depth d, and never more than the budget.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from .errors import (
     ResourceBudgetError,
     SingularConfigurationError,
 )
-from .fractal import ORTHOGONALITY_TOL, Fractal, _image_cloud, _sq_dists
+from .fractal import DEFAULT_CLOUD_BUDGET, ORTHOGONALITY_TOL, Fractal, _image_cloud, _sq_dists
 from .parallel import parallel_map, restart_indices
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
@@ -192,20 +201,34 @@ class _State:
 
 
 class _Mesh:
-    """Lazily built symbolic levels and cached cell blocks.
+    """Lazily built symbolic levels and the cell blocks they hold.
 
     Level d is the image cloud of d lifts of the M fixed points, so row
     q*M + (b-1) is psi_w(f_b) for the fixed point f_b of map b and the
     (q+1)-th word w of depth d; words(d), built the first time a move lands
     on level d, holds the word of every row.  The block of a word w is
     apply_word(w, level 1), whose row words are w followed by those of
-    level 1 (w + words(1)[row]).  It is built as the first map of w applied
-    to the (cached) block of the rest of w, the float operations of
-    apply_word.  A point's sibling candidates are its parent's block and its
-    child candidates its own.  Blocks are cached by word.  Restarts that run
-    in order share the caches; a restart on a forked worker (parallel_map)
-    fills its own copy, with the same floats.  The fixed points are solved
-    for once, here, so that no worker enters LAPACK.
+    level 1 (w + words(1)[row]).  A point's sibling candidates are its
+    parent's block and its child candidates its own.
+
+    Lifts apply the outer map last over the whole cloud, so the block of w
+    is, bit for bit, rows q*M**2 to (q+1)*M**2 - 1 of level |w| + 1, q the
+    lexicographic index of w, and while that level is built the block is a
+    view of it.  A deeper word's block is the first map of w applied to the
+    block of the rest of w, the float operations of apply_word, down to a
+    view, and is cached by word.  Levels and blocks are read-only, so
+    nothing writes through a view.
+
+    _local_search_state builds the start level d and, where its M**(d+2)
+    rows fit DEFAULT_CLOUD_BUDGET, level d + 1 before the restarts fan out:
+    then the sibling and child blocks of every start word are views of
+    arrays that every restart and forked worker shares.  Level d + 1 holds
+    as many rows as the child blocks of all M**d words of depth d, M times
+    as many as their sibling blocks, and never more than the budget.
+    Restarts that run in order share the cache of deeper blocks; a restart
+    on a forked worker (parallel_map) fills its own copy, with the same
+    floats.  The fixed points are solved for once, here, so that no worker
+    enters LAPACK.
     """
 
     def __init__(self, fractal: Fractal):
@@ -217,7 +240,8 @@ class _Mesh:
 
     def level(self, depth: int) -> np.ndarray:
         if depth not in self._levels:
-            self._levels[depth] = _image_cloud(self.fractal, self._fixed_points, depth)
+            cloud = self._levels[depth] = _image_cloud(self.fractal, self._fixed_points, depth)
+            cloud.setflags(write=False)
         return self._levels[depth]
 
     def words(self, depth: int) -> list:
@@ -227,12 +251,20 @@ class _Mesh:
         return self._words[depth]
 
     def block(self, word):
+        level = self._levels.get(len(word) + 1)
+        if level is not None:
+            M = len(self.fractal.maps)
+            q = 0
+            for m in word:
+                q = q * M + m - 1
+            return level[q * M * M : (q + 1) * M * M]
         if not word:
             return self.level(1)
         coords = self._blocks.get(word)
         if coords is None:
             coords = self._blocks[word] = \
                 self.fractal.maps[word[0] - 1].apply(self.block(word[1:]))
+            coords.setflags(write=False)
         return coords
 
 
@@ -429,12 +461,7 @@ def _certify_cells(pts: np.ndarray, idx: np.ndarray, d2: np.ndarray, k: np.ndarr
         count = np.bincount(qq, minlength=Q)
         J = np.repeat(idx[:, None], count.max(initial=0), axis=1)
         J[qq, np.arange(qq.shape[0]) - np.repeat(np.cumsum(count) - count, count)] = jj
-        near_pts = pts[J]
-        kern = np.zeros((Q, cands.shape[1], J.shape[1]))
-        for c in range(p):
-            diff = cands[:, :, None, c] - near_pts[:, None, :, c]
-            diff *= diff
-            kern += diff
+        kern = _sq_dists(cands, pts[J])
         np.power(kern, -0.5 * s, out=kern)
         np.copyto(kern, 0.0, where=(J == idx[:, None])[:, None, :])
         near_y = kern.sum(axis=2)
@@ -514,16 +541,16 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
     (level d row against every point) with column i set to 0, the summands
     point_energy_sums(..., skip_index=i) would form; an accepted move
     recomputes column i of every G_d kept.  Cell blocks come from the mesh
-    cache.  Each restart has its own state and kernels, and the mesh
+    (_Mesh.block).  Each restart has its own state and kernels, and the mesh
     caches only coordinates, so a restart on a forked worker runs the same
     float operations as one in this process.
 
     offers[i] holds point i's offer (_offer), the coordinates of its cell
-    blocks in the mesh cache: one tuple of references per point, so memory
-    stays O(N) and no coordinates are copied.  It depends only on the
-    point's word, so it is kept, across sweeps when the caller passes
-    offers, until the point moves; the blocks with their words are looked
-    up again only for an accepted move.  The point and its cell rows are
+    blocks in the mesh, views of its levels or cached deeper blocks: one
+    tuple of references per point, so memory stays O(N) and no coordinates
+    are copied.  It depends only on the point's word, so it is kept, across
+    sweeps when the caller passes offers, until the point moves; the blocks
+    with their words are looked up again only for an accepted move.  The point and its cell rows are
     scored in one call (_candidate_sums).
 
     The first minimum of the candidate values is accepted when it lies
@@ -637,15 +664,17 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
     return accepted
 
 
-def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
+def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh, start_pair=None):
     """Sweep until no move improves, the move budget is spent or _MAX_SWEEPS.
 
     Returns the state, the (energy, least squared pair distance) of its
-    points and the accepted moves.  The level kernels built by the first
-    sweep that needs them are kept, column by column current, for every
-    later sweep, and so are the points' offers until they move.  Each sweep
-    after the first may end at the previous sweep's last accepted move
-    (see _sweep).
+    points and the accepted moves.  start_pair, if given, is the _pair_pass
+    of the start's points; a search that accepts no move returns it rather
+    than summing the same points again.  The level kernels built by the
+    first sweep that needs them are kept, column by column current, for
+    every later sweep, and so are the points' offers until they move.  Each
+    sweep after the first may end at the previous sweep's last accepted
+    move (see _sweep).
     """
     kernels = {}
     offers = [None] * state.pts.shape[0]
@@ -662,6 +691,8 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh):
             break
         stop = state.last_move
     del kernels, offers  # not held through the pair pass
+    if total == 0 and start_pair is not None:
+        return state, start_pair, total
     return state, _pair_pass(state.pts, s), total
 
 
@@ -780,9 +811,11 @@ def _cell_count_bound(ratios, s: float, diameter: float, n: int) -> np.ndarray:
 
 
 def _can_win(fractal: Fractal, s: float, mesh: _Mesh, starts: list, depth: int,
-             max_depth: int, budget: int) -> list:
-    """The indices of the starts whose searches can win: 0 and every random
-    start whose count floor does not prove that it loses.
+             max_depth: int, budget: int):
+    """(kept, pair): kept lists the indices of the starts whose searches can
+    win, 0 and every random start whose count floor does not prove that it
+    loses; pair is the _pair_pass of restart 0's start where the test
+    summed it, else None.
 
     From a depth d with M**d > LEVEL_MOVE_CAP no point is offered its level,
     and sibling and child offers keep it in the parent cell w[:-1] of its
@@ -836,27 +869,29 @@ def _can_win(fractal: Fractal, s: float, mesh: _Mesh, starts: list, depth: int,
     everyone = list(range(len(starts)))
     if len(starts) < 2 or M ** depth <= LEVEL_MOVE_CAP or not 0.0 < D <= 2.0 ** 480 \
             or s * math.log2(3.0 * D) > 960.0:
-        return everyone
+        return everyone, None
     lam = 1.0 + p * ORTHOGONALITY_TOL + 4 * p * p * _U
     e = (p + 2) * (p + 3) * _U * (max(math.hypot(*f) for f in fixed) + 2.0 * D)
     res = max(math.hypot(*(f - m.apply(f))) for m, f in zip(maps, fixed))
     delta = 2.0 * (res + e) / max(1.0 - lam * fractal.r_max, _U)  # > D / 2 unless lam r_max < 1
     if not (delta <= 0.5 * D and 2.0 * delta < fractal.sigma * (r_min * (2.0 - lam)) ** J):
-        return everyone
+        return everyone, None
     eta = (2 * p + 8) * (s + 1) * _U
     margin = 2.0 * (4.0 * (N * N * _U + eta) + s * (lam ** J - 1.0 + 2.0 * delta / (r_min ** J * D))
                     + 2.0 * (M * M * (2 * M + 3) + 3 * depth + M ** depth) * _U
                     + 12.0 * budget * (N * _U + eta))
-    top = _pair_pass(mesh.level(depth)[starts[0]], s)[0]
+    pair = _pair_pass(mesh.level(depth)[starts[0]], s)
+    top = pair[0]
     if not (margin <= 0.125 and math.log(8.0 * top) < -s * math.log(min(2.0 * delta, 2.0 ** -485))):
-        return everyone
+        return everyone, pair
     with np.errstate(over="ignore", invalid="ignore"):
         B = _cell_count_bound(fractal.ratios, s, D, M * M)
         weights = np.ones(1)
         for _ in range(depth - 1):
             weights = np.outer(np.asarray(fractal.ratios) ** -s, weights).ravel()
-        return [0] + [r for r in range(1, len(starts)) if not (1.0 - margin) * (weights * B[
+        kept = [0] + [r for r in range(1, len(starts)) if not (1.0 - margin) * (weights * B[
             np.bincount(np.asarray(starts[r]) // (M * M), minlength=weights.size)]).sum() > top]
+    return kept, pair
 
 
 def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions):
@@ -870,7 +905,11 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
     moves keep each point in the parent cell of its start word, so a start
     fixes its count per parent cell.  A random start whose cell-count floor,
     less a rounding margin, exceeds the _pair_pass energy of restart 0's
-    start cannot win and is not run (_can_win derives the margin).  Where
+    start cannot win and is not run (_can_win derives the margin); if
+    restart 0 then accepts no move, that pass is its result.  The level
+    below the start depth is built first where it fits
+    DEFAULT_CLOUD_BUDGET, so the blocks of the start words are views of
+    levels shared by every restart (_Mesh).  Where
     N K reaches _FAN_OUT_MIN the starts left run on forked workers, one per
     usable core (parallel_map, which runs a lone start in this process),
     and in order in this process otherwise; the winner and every bit of it
@@ -898,16 +937,19 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
     starts = [_farthest_point_indices(coords, N)]
     starts += [restart_indices(opts.seed, r, K, N) for r in range(opts.restarts - 1)]
 
-    def run(indices):
-        st = _State(_level_words(indices, M, depth), coords[list(indices)])
-        return _run_search(fractal, s, st, opts, max_depth, mesh)
-
     budget = _MOVE_BUDGET if opts.budget is None else opts.budget
-    starts = [starts[r] for r in _can_win(fractal, s, mesh, starts, depth, max_depth, budget)]
+    kept, pair = _can_win(fractal, s, mesh, starts, depth, max_depth, budget)
+
+    def run(r):
+        st = _State(_level_words(starts[r], M, depth), coords[list(starts[r])])
+        return _run_search(fractal, s, st, opts, max_depth, mesh, pair if r == 0 else None)
+
+    if M ** (depth + 2) <= DEFAULT_CLOUD_BUDGET:
+        mesh.level(depth + 1)  # child blocks of the start words become views of it
     if N * K >= _FAN_OUT_MIN:
-        outcomes = parallel_map(run, starts)
+        outcomes = parallel_map(run, kept)
     else:
-        outcomes = [run(st) for st in starts]
+        outcomes = [run(r) for r in kept]
     return outcomes[min(range(len(outcomes)), key=lambda i: (outcomes[i][1][0], i))]
 
 

@@ -149,9 +149,9 @@ def _record_searches(monkeypatch):
     """Run restarts in this process and record the start words of each search."""
     seen = []
 
-    def recording(fractal, s, state, opts, max_depth, mesh):
+    def recording(fractal, s, state, opts, max_depth, mesh, start_pair=None):
         seen.append(tuple(state.words))
-        return _run_search(fractal, s, state, opts, max_depth, mesh)
+        return _run_search(fractal, s, state, opts, max_depth, mesh, start_pair)
 
     monkeypatch.setattr(minimize, "_run_search", recording)
     monkeypatch.setattr(minimize, "parallel_map", lambda fn, items: [fn(x) for x in items])
@@ -186,7 +186,7 @@ def test_pruned_search_equals_running_every_restart(name, N, seed, monkeypatch, 
     assert res.record.energy.hex() == energy.hex()
     assert res.iterations == moves
     # the pruned starts never reached a search, and pruning happened
-    kept = _can_win(fractal, s, mesh, starts, depth, depth + 8, 10_000)
+    kept, _ = _can_win(fractal, s, mesh, starts, depth, depth + 8, 10_000)
     assert seen == [tuple(_level_words(starts[r], M, depth)) for r in kept]
     assert kept == [0]
     # every start's search ends above the floor of its start
@@ -211,14 +211,48 @@ def test_nothing_is_pruned_where_a_guard_fails(mixed_fractal):
         coords = mesh.level(depth)
         starts = [_farthest_point_indices(coords, N)]
         starts += [restart_indices(7, r, coords.shape[0], N) for r in range(2)]
-        return _can_win(cantor, 3.0, mesh, starts, depth, depth + 8, budget)
+        return _can_win(cantor, 3.0, mesh, starts, depth, depth + 8, budget)[0]
 
     assert kept(1024, 10_000) == [0]
     # a start whose floor lies below restart 0's start energy: that start itself
     depth = _auto_depth(2, 1024)
     greedy = _farthest_point_indices(mesh.level(depth), 1024)
-    assert _can_win(cantor, 3.0, mesh, [greedy, greedy], depth, depth + 8, 10_000) == [0, 1]
+    assert _can_win(cantor, 3.0, mesh, [greedy, greedy], depth, depth + 8, 10_000)[0] == [0, 1]
     # level moves within the cap: the counts are not fixed
     assert kept(256, 10_000) == [0, 1, 2]
     # a move budget whose rounding allowance exceeds the margin's limit
     assert kept(1024, 10 ** 11) == [0, 1, 2]
+
+
+def test_a_start_that_never_moves_is_summed_once(monkeypatch):
+    # cantor(1/3) at N = 1024: both random starts are pruned and restart 0,
+    # the greedy start, accepts no move, so the pair pass that tested the
+    # random starts is also its result
+    cantor = rf.cantor("1/3")
+    N, s, opts = 1024, 3.0, rf.SearchOptions(seed=1, restarts=3)
+    depth = _auto_depth(2, N)
+    mesh = _Mesh(cantor)
+    coords = mesh.level(depth)
+    rows = _farthest_point_indices(coords, N)
+    state, (energy, sep2), moves = _run_search(cantor, s, _State(_level_words(rows, 2, depth),
+                                                                 coords[rows]),
+                                               opts, depth + 8, mesh)
+    assert moves == 0
+
+    start = coords[rows].tobytes()
+    summed = []
+    pair_pass = minimize._pair_pass
+
+    def counting(pts, s):
+        summed.append(pts.tobytes())
+        return pair_pass(pts, s)
+
+    seen = _record_searches(monkeypatch)
+    monkeypatch.setattr(minimize, "_pair_pass", counting)
+    res = rf.local_search_minimize(cantor, N, s, opts)
+    assert len(seen) == 1 and summed == [start]
+    assert res.iterations == 0
+    assert res.words == tuple(state.words)
+    assert res.points.tobytes() == state.pts.tobytes() == start
+    assert res.record.energy.hex() == energy.hex()
+    assert res.min_distance.hex() == math.sqrt(sep2).hex()
