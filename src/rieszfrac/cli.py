@@ -111,9 +111,8 @@ def _write_row(out_dir: str, name: str, row: dict, comment: str):
 def _run_minimize(fractal, params: dict, out_dir: str) -> dict:
     n, s = params["n"], params["s"]
     opts = _search_options(params)
-    depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), n)
     result = local_search_minimize(fractal, n, s, opts)
-    row = {"N": n, "s": s, "depth": depth, "strategy": result.strategy, "seed": opts.seed,
+    row = {"N": n, "s": s, "depth": result.depth, "strategy": result.strategy, "seed": opts.seed,
            "energy": result.record.energy, "normalized": result.record.normalized,
            "min_distance": result.min_distance, "certified": result.certified}
     _write_row(out_dir, "minimize_results.csv", row, _ENERGY_NOTE)

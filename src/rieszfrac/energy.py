@@ -157,12 +157,12 @@ def cross_energy(part1, part2, s: float) -> float:
     """Ordered-pair interaction between two disjoint parts (both directions)."""
     if s <= 0.0:
         raise DomainError(f"exponent s must be positive, got {s}")
-    blocks = _row_blocks(_as_points(part1), _as_points(part2))
-    return 2.0 * _kernel_sum(blocks, s, "parts share a point")[0]
+    return _lift_cross([_as_points(part1), _as_points(part2)], s)[0]
 
 
 def _lift_cross(parts, s: float):
-    """(cross energy, least squared distance) between the images of a lift.
+    """(cross energy, least squared distance) between the images of a lift,
+    or between the two parts of cross_energy.
 
     One pass over the blocks of every pair of parts a < b gives the
     ordered-pair interaction of distinct parts (both directions) and the

@@ -155,7 +155,8 @@ class MinimizeResult:
     result).  config, the points addressed by their decoded words
     (_level_words), is built on its first read and kept.
 
-    iterations counts the winning restart's accepted moves for a local
+    depth is a search's start depth, an exhaustive mesh's depth, or stage
+    0's plus j for stage j of a lift chain.  iterations counts the winning restart's accepted moves for a local
     search, the subsets scored for an exhaustive one and a lift stage's own
     moves (0 when raw): "lift-seeded" reports its last polished stage's only.
     """
@@ -168,6 +169,7 @@ class MinimizeResult:
     certified: bool
     iterations: int
     min_distance: float
+    depth: int
     lifts: int = 0
     cross: float = None
 
@@ -228,7 +230,8 @@ class _Mesh:
     Restarts that run in order share the cache of deeper blocks; a restart
     on a forked worker (parallel_map) fills its own copy, with the same
     floats.  The fixed points are solved for once, here, so that no worker
-    enters LAPACK.
+    enters LAPACK; lift_chain runs stage 0 and every polished stage on one
+    mesh, so a chain solves them once.
     """
 
     def __init__(self, fractal: Fractal):
@@ -669,12 +672,13 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh, start_p
 
     Returns the state, the (energy, least squared pair distance) of its
     points and the accepted moves.  start_pair, if given, is the _pair_pass
-    of the start's points; a search that accepts no move returns it rather
-    than summing the same points again.  The level kernels built by the
-    first sweep that needs them are kept, column by column current, for
-    every later sweep, and so are the points' offers until they move.  Each
-    sweep after the first may end at the previous sweep's last accepted
-    move (see _sweep).
+    of the start's points (_can_win's pass of restart 0's start, or
+    lift_chain's pass of a polished stage's lifted points); a search that
+    accepts no move returns it rather than summing the same points again.
+    The level kernels built by the first sweep that needs them are kept,
+    column by column current, for every later sweep, and so are the points'
+    offers until they move.  Each sweep after the first may end at the
+    previous sweep's last accepted move (see _sweep).
     """
     kernels = {}
     offers = [None] * state.pts.shape[0]
@@ -697,7 +701,7 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh, start_p
 
 
 def _result(fractal, s, pts: np.ndarray, words, strategy, certified, iterations,
-            pair, lifts: int = 0, cross: float = None) -> MinimizeResult:
+            pair, depth: int, lifts: int = 0, cross: float = None) -> MinimizeResult:
     """The points as a result; pair is their (energy, least squared pair distance).
 
     words are the points' cell words, or the base words of a cloud lifted
@@ -710,7 +714,7 @@ def _result(fractal, s, pts: np.ndarray, words, strategy, certified, iterations,
     return MinimizeResult(pts, tuple(words), fractal.label,
                           EnergyRecord.from_energy(energy, n, s, fractal.dimension),
                           strategy, certified, iterations,
-                          math.sqrt(sep2) if n >= 2 else math.nan, lifts, cross)
+                          math.sqrt(sep2) if n >= 2 else math.nan, depth, lifts, cross)
 
 
 def _first_best(K: int, N: int, score):
@@ -777,7 +781,8 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
     if best is None:
         raise SingularConfigurationError("every candidate subset contains coincident points")
     pts = coords[list(best)]
-    return _result(fractal, s, pts, words(best), "exhaustive", True, count, _pair_pass(pts, s))
+    return _result(fractal, s, pts, words(best), "exhaustive", True, count, _pair_pass(pts, s),
+                   depth)
 
 
 def _cell_count_bound(ratios, s: float, diameter: float, n: int) -> np.ndarray:
@@ -894,8 +899,9 @@ def _can_win(fractal: Fractal, s: float, mesh: _Mesh, starts: list, depth: int,
     return kept, pair
 
 
-def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions):
-    """Best (state, pair, moves) over opts.restarts searches, first on ties.
+def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions, mesh: _Mesh):
+    """(state, pair, moves) of the best of opts.restarts searches on the
+    caller's mesh, first on ties, and the start depth.
 
     Restart 0 starts from the greedy maximin seed; random restart r from
     restart_indices(opts.seed, r, K, N), numpy's seeded N-subset of the K
@@ -909,11 +915,12 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
     restart 0 then accepts no move, that pass is its result.  The level
     below the start depth is built first where it fits
     DEFAULT_CLOUD_BUDGET, so the blocks of the start words are views of
-    levels shared by every restart (_Mesh).  Where
-    N K reaches _FAN_OUT_MIN the starts left run on forked workers, one per
-    usable core (parallel_map, which runs a lone start in this process),
-    and in order in this process otherwise; the winner and every bit of it
-    are those of running every restart, either way.
+    levels shared by every restart (_Mesh) and by whatever search the
+    caller runs on the same mesh next, as lift_chain's polished stages do.
+    Where N K reaches _FAN_OUT_MIN the starts left run on forked workers,
+    one per usable core (parallel_map, which runs a lone start in this
+    process), and in order in this process otherwise; the winner and every
+    bit of it are those of running every restart, either way.
     """
     if fractal.sigma <= 0.0:
         raise HypothesisError(
@@ -928,7 +935,6 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
     max_depth = opts.max_depth if opts.max_depth is not None else depth + 8
     if max_depth < depth:
         raise DomainError("max_depth must not be below depth")
-    mesh = _Mesh(fractal)
     coords = mesh.level(depth)
     K = coords.shape[0]
     if K < N:
@@ -950,7 +956,7 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions)
         outcomes = parallel_map(run, kept)
     else:
         outcomes = [run(r) for r in kept]
-    return outcomes[min(range(len(outcomes)), key=lambda i: (outcomes[i][1][0], i))]
+    return (*outcomes[min(range(len(outcomes)), key=lambda i: (outcomes[i][1][0], i))], depth)
 
 
 def local_search_minimize(fractal: Fractal, N: int, s: float,
@@ -985,8 +991,8 @@ def local_search_minimize(fractal: Fractal, N: int, s: float,
             k += 1
         if k:
             return lift_chain(fractal, s, n0, k, opts=opts, polish=True)[-1]
-    state, pair, moves = _local_search_state(fractal, N, s, opts)
-    return _result(fractal, s, state.pts, state.words, "local-search", False, moves, pair)
+    state, pair, moves, depth = _local_search_state(fractal, N, s, opts, _Mesh(fractal))
+    return _result(fractal, s, state.pts, state.words, "local-search", False, moves, pair, depth)
 
 
 def lift(fractal: Fractal, config: Configuration) -> Configuration:
@@ -1001,15 +1007,12 @@ def lift(fractal: Fractal, config: Configuration) -> Configuration:
     return Configuration(pts, addresses=addrs, fractal_label=config.fractal_label)
 
 
-def _lifted_energy(fractal: Fractal, s: float, energy: float, cross: float) -> float:
-    """E(union psi_m X) = sum_m r_m**(-s) E(X) + cross terms, the exact
-    self-similar recursion; energy is E(X), cross the interaction of the images."""
-    return sum(m.ratio ** (-s) for m in fractal.maps) * energy + cross
-
-
 def _check_lift_bound(fractal: Fractal, s: float, n: int, energy: float, lifted: float):
-    """Equal ratios: the lift of n points of energy E has at most
-    M**(1+s/d) * E + sigma**(-s) * n**2 * M**2; more means inconsistent geometry."""
+    """With equal ratios the lift of n points of energy E has at most
+    M**(1+s/d) * E + sigma**(-s) * n**2 * M**2; more means inconsistent
+    geometry.  Unequal ratios check nothing."""
+    if not fractal.equal_ratios:
+        return
     M = len(fractal.maps)
     bound = (M ** (1.0 + s / fractal.dimension)) * energy \
         + (fractal.sigma ** (-s)) * n * n * M * M
@@ -1024,25 +1027,28 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
                opts: SearchOptions = None, polish: bool = True):
     """Minimize at n0 points, then lift k times (optionally polishing each stage).
 
-    Returns one MinimizeResult per stage, sizes n0 * M**j for j = 0..k.
-    Stage 0 and polished stages take their energy and min_distance from one
-    pass over their points.  With polish=False the stages after the first
-    are the raw iterated lifts, the construction behind the
-    geometric-subsequence bound.  A raw stage j is never evaluated directly:
-    its energy is sum_m r_m**(-s) * E_prev + cross_j and its squared
-    min_distance min(min_m r_m**2 * delta_prev**2, least cross distance**2),
-    so it describes the exact images of the previous stage; it carries
-    cross_j as `cross`.  When the maps share one linear part
+    Returns one MinimizeResult per stage, sizes n0 * M**j for j = 0..k;
+    stage j reports depth d0 + j, d0 the start depth of stage 0 (0 for
+    n0 = 1).  Stage 0's search and every polished stage share one _Mesh.
+    A polished stage sums its lifted points in one _pair_pass, the energy
+    the lift bound is checked on, and its search starts from that pair, so
+    a stage that accepts no move sums nothing more.  With polish=False the
+    stages after the first are the raw iterated lifts, the construction
+    behind the geometric-subsequence bound, and only they form cross terms.
+    A raw stage j is never evaluated directly: its energy is
+    sum_m r_m**(-s) * E_prev + cross_j and its squared min_distance
+    min(min_m r_m**2 * delta_prev**2, least cross distance**2), so it
+    describes the exact images of the previous stage and the lift bound is
+    checked on that energy; it carries cross_j as `cross`.  When the maps share one linear part
     (Fractal.shared_linear_part) cross_j is drawn from one
     _shared_lift_crosses generator per chain, which forms the
     translation-difference clouds of stage 0 on its first draw and advances
     them by one stage per draw; otherwise it comes from one _lift_cross pass
-    over the images.  With equal ratios the lift bound is checked on the
-    recursive energy, polished or not.  A stage's points are the image cloud
-    of the previous stage's, so a raw stage j keeps stage 0's words and j
-    lifts; a polished stage decodes the words it searches on.  No stage's
-    config is read here.  Every stage is a local search, so opts.strategy
-    "exhaustive", whose budget caps subsets, raises DomainError.
+    over the images.  A stage's points are the image cloud of the previous
+    stage's, so a raw stage j keeps stage 0's words and j lifts; a polished
+    stage decodes the words it searches on.  No stage's config is read
+    here.  Every stage is a local search, so opts.strategy "exhaustive",
+    whose budget caps subsets, raises DomainError.
     """
     opts = opts if opts is not None else SearchOptions()
     if opts.strategy == "exhaustive":
@@ -1056,16 +1062,17 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
         raise DomainError("n0 must be at least 1")
     if k < 0:
         raise DomainError("k must be nonnegative")
+    mesh = _Mesh(fractal)
     if n0 == 1:
         words, pts = [()], fractal.base_anchor()[None, :]
-        pair, moves = (0.0, math.inf), 0
+        pair, moves, depth = (0.0, math.inf), 0, 0
     else:
-        state, pair, moves = _local_search_state(fractal, n0, s, opts)
+        state, pair, moves, depth = _local_search_state(fractal, n0, s, opts, mesh)
         words, pts = state.words, state.pts
-    stages = [_result(fractal, s, pts, words, "lift-seeded", False, moves, pair)]
+    stages = [_result(fractal, s, pts, words, "lift-seeded", False, moves, pair, depth)]
     # sep2 stays squared across stages: a root taken in between would move its bits
     energy, sep2 = pair
-    mesh = _Mesh(fractal)
+    weight = sum(m.ratio ** (-s) for m in fractal.maps)
     r2 = min(fractal.ratios) ** 2
     linear = None if polish else fractal.shared_linear_part
     if linear is not None:
@@ -1075,24 +1082,22 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
         n_prev = pts.shape[0]
         # stage sizes are set by n0 and k, not by the cloud budget
         pts = _image_cloud(fractal, pts, 1, math.inf)
-        if linear is not None:
-            cross, cross_sep2 = next(shared)
-        elif fractal.equal_ratios or not polish:
-            cross, cross_sep2 = _lift_cross(np.split(pts, M), s)
-        if fractal.equal_ratios or not polish:
-            lifted = _lifted_energy(fractal, s, energy, cross)
-        if fractal.equal_ratios:
-            _check_lift_bound(fractal, s, n_prev, energy, lifted)
         if polish:
+            pair = _pair_pass(pts, s)
+            _check_lift_bound(fractal, s, n_prev, energy, pair[0])
             state = _State(_level_words(range(M * n_prev), M, 1, words), pts)
             max_depth = max(len(w) for w in state.words) + 8
-            state, (energy, sep2), moves = _run_search(fractal, s, state, opts, max_depth, mesh)
+            state, pair, moves = _run_search(fractal, s, state, opts, max_depth, mesh, pair)
             words, pts, lifts, cross = state.words, state.pts, 0, None
         else:
-            energy, sep2 = lifted, min(r2 * sep2, cross_sep2)
+            cross, cross_sep2 = _lift_cross(np.split(pts, M), s) if linear is None else next(shared)
+            lifted = weight * energy + cross
+            _check_lift_bound(fractal, s, n_prev, energy, lifted)
+            pair = lifted, min(r2 * sep2, cross_sep2)
             moves, lifts = 0, j
-        stages.append(_result(fractal, s, pts, words, "lift-seeded", False, moves,
-                              (energy, sep2), lifts, cross))
+        energy, sep2 = pair
+        stages.append(_result(fractal, s, pts, words, "lift-seeded", False, moves, pair,
+                              depth + j, lifts, cross))
     return stages
 
 

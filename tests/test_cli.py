@@ -94,6 +94,20 @@ def test_minimize_exhaustive(tmp_path, capsys):
     assert summary["certified"]
 
 
+@pytest.mark.parametrize("depth_flag, depth", [([], 3), (["--depth", "2"], 4)])
+def test_lift_seeded_reports_the_depth_its_last_stage_lies_on(depth_flag, depth, tmp_path,
+                                                               capsys):
+    # n = 8 is n0 = 2 lifted twice: stage 0 searches from depth d0 (1 when
+    # automatic, 2 when given) and the last stage lies at depth d0 + 2
+    code = rf.main(["minimize", "--fractal", "cantor(1/3)", "--s", "3", "--n", "8",
+                    "--strategy", "lift-seeded", *depth_flag, "--out", str(tmp_path)])
+    assert code == 0
+    summary = _last_json(capsys)
+    assert summary["strategy"] == "lift-seeded" and summary["depth"] == depth
+    _, rows = rf.serialize.read_table(os.path.join(str(tmp_path), "minimize_results.csv"))
+    assert rows[0][2] == str(depth)
+
+
 def test_minimize_results_table_layout(tmp_path, capsys):
     rf.main(["minimize", "--fractal", "cantor(1/3)", "--s", "3", "--n", "4",
              "--out", str(tmp_path)])

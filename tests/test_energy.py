@@ -220,6 +220,9 @@ def test_lift_recursion_rejects_images_that_share_a_point():
     assert rf.lift_chain(touching, 3.0, 1, 1, polish=False)[-1].config.n == 2
     with pytest.raises(rf.SingularConfigurationError, match="images of the lift"):
         rf.lift_chain(touching, 3.0, 1, 2, polish=False)
+    # a polished stage forms no cross term: its one pair pass finds the point
+    with pytest.raises(rf.SingularConfigurationError, match="coincident points"):
+        rf.lift_chain(touching, 3.0, 1, 2, polish=True)
 
 
 # ---------------------------------------------------------- normalized energy

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rieszfrac as rf
-from rieszfrac.energy import CLOUD_BLOCK, _lift_cross, _shared_lift_crosses
+from rieszfrac.energy import CLOUD_BLOCK, _lift_cross, _pair_pass, _shared_lift_crosses
 from rieszfrac.fractal import _sq_dists
 
 
@@ -184,17 +184,47 @@ def test_raw_shared_chains_make_no_direct_cross_pass(monkeypatch, fractal, s, n0
     assert calls == []
 
 
-@pytest.mark.parametrize("case", ["two-scale", "rotating-pair", "polished"])
-def test_other_chains_keep_the_direct_cross_pass(monkeypatch, case, cantor13, mixed_fractal):
-    fractal, polish = {
-        "two-scale": (mixed_fractal, False),
-        "rotating-pair": (_rotating_pair(), False),
-        "polished": (cantor13, True),
-    }[case]
+@pytest.mark.parametrize("case", ["two-scale", "rotating-pair"])
+def test_other_chains_keep_the_direct_cross_pass(monkeypatch, case, mixed_fractal):
+    fractal = {"two-scale": mixed_fractal, "rotating-pair": _rotating_pair()}[case]
     calls = _count_lift_cross(monkeypatch)
     opts = rf.SearchOptions(seed=0, restarts=1)
-    rf.lift_chain(fractal, 3.0, 2, 3, opts=opts, polish=polish)
+    rf.lift_chain(fractal, 3.0, 2, 3, opts=opts, polish=False)
     assert calls == [2, 2, 2]
+
+
+def test_polished_chains_sum_each_stage_once_on_one_mesh(monkeypatch, cantor13, mixed_fractal):
+    # a polished stage sums its lifted points once and forms no cross term;
+    # a stage that accepts no move keeps that sum, one that moves sums its
+    # end points again; stage 0's search and every stage share one mesh
+    cross_calls = _count_lift_cross(monkeypatch)
+    sizes, meshes = [], []
+
+    def counted(pts, s):
+        sizes.append(pts.shape[0])
+        return _pair_pass(pts, s)
+
+    init = rf.minimize._Mesh.__init__
+
+    def recording(self, fractal):
+        init(self, fractal)
+        meshes.append(self)
+
+    monkeypatch.setattr(rf.minimize, "_pair_pass", counted)
+    monkeypatch.setattr(rf.minimize._Mesh, "__init__", recording)
+    opts = rf.SearchOptions(seed=0, restarts=2)
+    for fractal, s, n0, k in [(cantor13, 3.0, 3, 4), (rf.cantor_dust_2d("1/4"), 4.0, 3, 2),
+                              (mixed_fractal, 3.0, 3, 3)]:
+        sizes.clear()
+        meshes.clear()
+        stages = rf.lift_chain(fractal, s, n0, k, opts=opts, polish=True)
+        moves = [st.iterations for st in stages[1:]]
+        assert [sizes.count(st.record.N) for st in stages[1:]] == [1 + (m > 0) for m in moves]
+        assert len(meshes) == 1
+        assert [st.depth for st in stages] == [stages[0].depth + j for j in range(k + 1)]
+        if fractal is not mixed_fractal:
+            assert 0 in moves and any(moves)
+    assert cross_calls == []
 
 
 def test_raw_deltas_are_the_normalized_cross_terms(cantor13):

@@ -90,7 +90,8 @@ def search():
     for cores, gate in ((1, 1 << 60), (2, 0), (3, 0), (8, 0)):
         minimize._FAN_OUT_MIN = gate
         parallel._usable_cores = lambda: cores
-        state, pair, moves = minimize._local_search_state(fractal, 24, 3.0, opts)
+        state, pair, moves, _ = minimize._local_search_state(fractal, 24, 3.0, opts,
+                                                             minimize._Mesh(fractal))
         runs.append([[list(w) for w in state.words], state.pts.tobytes().hex(),
                      [pair[0].hex(), pair[1].hex()], moves, no_children()])
     return runs
