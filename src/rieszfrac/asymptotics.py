@@ -26,8 +26,8 @@ from .minimize import (
     SearchOptions,
     _auto_depth,
     _level_words,
+    _minima,
     lift_chain,
-    local_search_minimize,
 )
 
 _CERT_SLACK = 1e-12
@@ -379,7 +379,11 @@ def _log_frac(N: int, M: int) -> float:
 
 def g_curve(fractal: Fractal, s: float, bins: int, N_min: int, N_max: int,
             opts: SearchOptions = None):
-    """Normalized minimized energies grouped by {log_M N} into equal bins."""
+    """Normalized minimized energies grouped by {log_M N} into equal bins.
+
+    Every N is searched by _minima, so under "lift-seeded" the N = n0 * M**k
+    of one n0 are the stages of one lift chain.
+    """
     _require_equal_ratios(fractal, "g-curve")
     d = fractal.dimension
     _require_hypersingular(s, d)
@@ -393,11 +397,8 @@ def g_curve(fractal: Fractal, s: float, bins: int, N_min: int, N_max: int,
     if opts is None:
         opts = SearchOptions(strategy=_DEFAULT_STRATEGY["g-curve"])
     by_bin = [[] for _ in range(bins)]
-    for N in range(N_min, N_max + 1):
-        theta = _log_frac(N, M)
-        idx = min(int(theta * bins), bins - 1)
-        result = local_search_minimize(fractal, N, s, opts)
-        by_bin[idx].append((N, result.record.normalized))
+    for N, result in _minima(fractal, s, range(N_min, N_max + 1), opts).items():
+        by_bin[min(int(_log_frac(N, M) * bins), bins - 1)].append((N, result.record.normalized))
     points = []
     for i, rows in enumerate(by_bin):
         center = (i + 0.5) / bins
@@ -490,7 +491,11 @@ class MonotonicityReport:
 
 def monotonicity_check(fractal: Fractal, s: float, N_range,
                        opts: SearchOptions = None) -> MonotonicityReport:
-    """Minimized energies over consecutive N, by default certified exhaustive."""
+    """Minimized energies over consecutive N, by default certified exhaustive.
+
+    Every N is searched by _minima, as in g_curve; the exhaustive route
+    takes one mesh for every N.
+    """
     N_values = [int(n) for n in N_range]
     if len(N_values) < 2:
         raise DomainError("need at least two values of N")
@@ -506,8 +511,7 @@ def monotonicity_check(fractal: Fractal, s: float, N_range,
         # max_depth bounds only local moves, so it is dropped, not checked
         opts = replace(opts, depth=_auto_depth(len(fractal.maps), N_values[-1]),
                        max_depth=None)
-    energies = [local_search_minimize(fractal, N, s, opts).record.energy
-                for N in N_values]
+    energies = [result.record.energy for result in _minima(fractal, s, N_values, opts).values()]
     t = s / fractal.dimension
     violations = []
     increments = []

@@ -20,7 +20,8 @@ share one executor, _execute: load the fractal, create the output
 directory, call the runner from _RUNNERS.  An unset flag is no param, so
 each default is stated once, by the parser, the runner or the library.
 Which search runs, and what its budget caps, is decided by
-minimize.local_search_minimize alone.
+minimize._minima alone, for one N (local_search_minimize) or for the whole
+N range of g-curve and monotonicity.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Energy convention: E_s(x_1..x_N) = sum over ordered pairs i != j of
 |x_i - x_j|**(-s), so every unordered pair is counted twice.  Every distance
 loop runs over fixed row blocks of PAIR_BLOCK points in row order; within one
 configuration it covers only the upper triangle i < j, and the energy sum is
-doubled at the end.  Memory stays O(N * PAIR_BLOCK) and results bit-stable
-across process thread counts.  The one loop that is not over points, the
+doubled at the end.  Memory stays O(N * PAIR_BLOCK), except where a whole
+(K, N) candidate kernel is asked for (_point_kernel, point_energy_sums), and
+results bit-stable across process thread counts.  The one loop that is not over points, the
 cross term of a raw lift stage from translation-difference clouds, runs over
 blocks of about CLOUD_BLOCK kernel entries.
 """
@@ -127,14 +128,21 @@ def riesz_energy(config, s: float) -> float:
 
 
 def normalized_energy(energy: float, n: int, s: float, d: float) -> float:
-    """energy / N**(1 + s/d), the scale on which minimal energies converge."""
+    """energy / N**(1 + s/d), the scale on which minimal energies converge.
+
+    A power N**(1 + s/d) that leaves the float range is a DomainError naming
+    s/d.
+    """
     if n < 2:
         raise DomainError("normalization needs at least two points")
     if d <= 0.0:
         raise DomainError("dimension must be positive")
     if s <= 0.0:
         raise DomainError("exponent s must be positive")
-    return energy / float(n) ** (1.0 + s / d)
+    try:
+        return energy / float(n) ** (1.0 + s / d)
+    except OverflowError as exc:
+        raise DomainError(f"normalized energy overflows float64 at s/d = {s / d!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -243,19 +251,14 @@ def point_energy_sums(candidates, config, s: float, skip_index: int = None) -> n
     """For each candidate y, sum over config points of |y - x_j|**(-s).
 
     Coincidence with a config point contributes +inf rather than raising;
-    callers decide how to treat infinite candidates.
+    callers decide how to treat infinite candidates.  The sums are the row
+    sums of the whole (K, N) kernel (_point_kernel), so a call holds K times
+    N floats at once.
     """
-    cands = _as_points(candidates)
-    sums = np.empty(cands.shape[0])
-    i0 = 0
-    for d2 in _row_blocks(cands, _as_points(config)):
-        with np.errstate(divide="ignore", over="ignore"):
-            np.power(d2, -0.5 * s, out=d2)
-        if skip_index is not None:
-            d2[:, skip_index] = 0.0
-        d2.sum(axis=1, out=sums[i0 : i0 + d2.shape[0]])
-        i0 += d2.shape[0]
-    return sums
+    k = _point_kernel(_as_points(candidates), _as_points(config), s)
+    if skip_index is not None:
+        k[:, skip_index] = 0.0
+    return k.sum(axis=1)
 
 
 def _candidate_sums(cands: np.ndarray, pts: np.ndarray, s: float, skip_index: int) -> np.ndarray:
@@ -275,8 +278,8 @@ def _candidate_sums(cands: np.ndarray, pts: np.ndarray, s: float, skip_index: in
 def _point_kernel(candidates: np.ndarray, config: np.ndarray, s: float) -> np.ndarray:
     """(K, N) array of |y - x_j|**(-s), a coincidence giving inf.
 
-    Built over the same contiguous blocks as point_energy_sums, so every
-    entry is the float that point_energy_sums adds up.
+    Built over contiguous blocks of PAIR_BLOCK rows; point_energy_sums sums
+    its rows.
     """
     out = np.empty((candidates.shape[0], config.shape[0]))
     i0 = 0

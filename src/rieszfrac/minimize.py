@@ -11,7 +11,8 @@ lands on (_Mesh.words).  exhaustive_minimize enumerates subsets of the plain
 base anchors psi_w(b1) (the base-1 rows of the mesh) by default, matching
 the certified-oracle contract; pass mesh="endpoint" to certify over the
 full symbolic mesh.
-local_search_minimize is the one entry that reads SearchOptions.strategy.
+_minima is the one place that dispatches on SearchOptions.strategy, for
+every N of a range at once; local_search_minimize is its one-N case.
 
 The local search scores single-point moves sweep by sweep (_sweep).  For
 s > dim A a point's potential is dominated by its nearest neighbours, so
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -673,8 +674,9 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh, start_p
     Returns the state, the (energy, least squared pair distance) of its
     points and the accepted moves.  start_pair, if given, is the _pair_pass
     of the start's points (_can_win's pass of restart 0's start, or
-    lift_chain's pass of a polished stage's lifted points); a search that
-    accepts no move returns it rather than summing the same points again.
+    lift_chain's pass of a polished stage's lifted points on equal
+    ratios); a search that accepts no move returns it rather than summing
+    the same points again.
     The level kernels built by the first sweep that needs them are kept,
     column by column current, for every later sweep, and so are the points'
     offers until they move.  Each sweep after the first may end at the
@@ -961,7 +963,7 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions,
 
 def local_search_minimize(fractal: Fractal, N: int, s: float,
                           opts: SearchOptions = None) -> MinimizeResult:
-    """Minimize by the strategy opts names; the one place that reads it.
+    """Minimize by the strategy opts names: the one-N case of _minima.
 
     "local-search" (the default) is a seeded multi-restart descent over
     symbolic cell moves.  Moves relocate one point at a time: across the
@@ -976,23 +978,47 @@ def local_search_minimize(fractal: Fractal, N: int, s: float,
     searches otherwise: a lift puts equal counts in the cells, which on
     unequal ratios is not the natural measure.
     """
-    opts = opts if opts is not None else SearchOptions()
+    return _minima(fractal, s, [N], opts if opts is not None else SearchOptions())[N]
+
+
+def _minima(fractal: Fractal, s: float, N_values, opts: SearchOptions) -> dict:
+    """{N: MinimizeResult} for each N of N_values by the strategy opts
+    names; the one place that dispatches on it.
+
+    "exhaustive" and "local-search" search each N alone.  "lift-seeded"
+    splits each N once into n0 * M**k, dividing out M while the ratios are
+    equal and n0 // M >= 2, runs one polished lift_chain(n0, largest k) per
+    n0 with some k >= 1 and gives N its stage k: a stage depends on the
+    stages before it alone, so it is, bit for bit, the last stage of a chain
+    of its own.  Stage 0 is the local search at n0 on a fresh mesh, which
+    N = n0 reports as "local-search"; an n0 with no lift gets that search
+    alone.  Each chain runs when the first of its N comes up.
+    """
+    M = len(fractal.maps)
     if opts.strategy == "exhaustive":
-        depth = opts.depth if opts.depth is not None else _auto_depth(len(fractal.maps), N)
         budget = DEFAULT_SUBSET_BUDGET if opts.budget is None else opts.budget
-        return exhaustive_minimize(fractal, N, s, depth, budget=budget)
-    if opts.strategy == "lift-seeded":
-        M = len(fractal.maps)
-        if M < 2:
-            raise HypothesisError("lifting needs at least two maps")
+        return {N: exhaustive_minimize(fractal, N, s, opts.depth or _auto_depth(M, N),
+                                       budget=budget) for N in N_values}
+    if opts.strategy == "lift-seeded" and M < 2:
+        raise HypothesisError("lifting needs at least two maps")
+    lifts = opts.strategy == "lift-seeded" and fractal.equal_ratios
+    split, top = {}, {}
+    for N in N_values:
         n0, k = N, 0
-        while fractal.equal_ratios and n0 % M == 0 and n0 // M >= 2:
-            n0 //= M
-            k += 1
+        while lifts and n0 % M == 0 and n0 // M >= 2:
+            n0, k = n0 // M, k + 1
+        split[N] = n0, k
+        top[n0] = max(top.get(n0, 0), k)
+    stages = {}
+    for n0, k in top.items():
         if k:
-            return lift_chain(fractal, s, n0, k, opts=opts, polish=True)[-1]
-    state, pair, moves, depth = _local_search_state(fractal, N, s, opts, _Mesh(fractal))
-    return _result(fractal, s, state.pts, state.words, "local-search", False, moves, pair, depth)
+            chain = lift_chain(fractal, s, n0, k, opts=opts, polish=True)
+            stages[n0] = [replace(chain[0], strategy="local-search")] + chain[1:]
+        else:
+            state, pair, moves, depth = _local_search_state(fractal, n0, s, opts, _Mesh(fractal))
+            stages[n0] = [_result(fractal, s, state.pts, state.words, "local-search", False,
+                                  moves, pair, depth)]
+    return {N: stages[n0][k] for N, (n0, k) in split.items()}
 
 
 def lift(fractal: Fractal, config: Configuration) -> Configuration:
@@ -1030,11 +1056,13 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     Returns one MinimizeResult per stage, sizes n0 * M**j for j = 0..k;
     stage j reports depth d0 + j, d0 the start depth of stage 0 (0 for
     n0 = 1).  Stage 0's search and every polished stage share one _Mesh.
-    A polished stage sums its lifted points in one _pair_pass, the energy
-    the lift bound is checked on, and its search starts from that pair, so
-    a stage that accepts no move sums nothing more.  With polish=False the
-    stages after the first are the raw iterated lifts, the construction
-    behind the geometric-subsequence bound, and only they form cross terms.
+    On equal ratios a polished stage sums its lifted points in one
+    _pair_pass, the energy the lift bound is checked on, and its search
+    starts from that pair, so a stage that accepts no move sums nothing
+    more; on unequal ratios, where no bound is checked, only its search
+    sums its points.  With polish=False the stages after the first are the
+    raw iterated lifts, the construction behind the geometric-subsequence
+    bound, and only they form cross terms.
     A raw stage j is never evaluated directly: its energy is
     sum_m r_m**(-s) * E_prev + cross_j and its squared min_distance
     min(min_m r_m**2 * delta_prev**2, least cross distance**2), so it
@@ -1083,8 +1111,9 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
         # stage sizes are set by n0 and k, not by the cloud budget
         pts = _image_cloud(fractal, pts, 1, math.inf)
         if polish:
-            pair = _pair_pass(pts, s)
-            _check_lift_bound(fractal, s, n_prev, energy, pair[0])
+            pair = _pair_pass(pts, s) if fractal.equal_ratios else None  # for the lift bound
+            if pair is not None:
+                _check_lift_bound(fractal, s, n_prev, energy, pair[0])
             state = _State(_level_words(range(M * n_prev), M, 1, words), pts)
             max_depth = max(len(w) for w in state.words) + 8
             state, pair, moves = _run_search(fractal, s, state, opts, max_depth, mesh, pair)

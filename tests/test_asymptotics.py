@@ -487,6 +487,50 @@ def test_cell_measure_validation(cantor13):
             cantor13, rf.Configuration(np.array([0.0])), depth=0)
 
 
+def test_g_curve_runs_one_lift_chain_per_n0(monkeypatch, cantor13):
+    # N = 2..96 under lift-seeded: the N = n0 * 2**k of one n0 read one chain,
+    # 24 chains (n0 = 2 and the odd n0 up to 47) and 48 stage-0 searches
+    # (one per n0, the odd n0 from 49 on searched alone); one chain per N
+    # would run 47 chains and 95 searches
+    calls = {"lift_chain": 0, "_local_search_state": 0}
+
+    def counting(name):
+        wrapped = getattr(rf.minimize, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(rf.minimize, name, counted)
+
+    for name in calls:
+        counting(name)
+    opts = rf.SearchOptions(strategy="lift-seeded", seed=1)
+    points = rf.g_curve(cantor13, 3.0, 16, 2, 96, opts)
+    assert sorted(n for p in points for n in p.N_list) == list(range(2, 97))
+    assert calls == {"lift_chain": 24, "_local_search_state": 48}
+
+
+@pytest.mark.parametrize("fractal, s, n_max", [(rf.cantor("1/3"), 3.0, 24),
+                                               (rf.cantor_dust_2d("1/4"), 4.0, 32)],
+                         ids=["cantor", "dust"])
+def test_multi_n_results_are_the_per_n_results(fractal, s, n_max):
+    # reading N = n0 * M**k from one chain per n0 changes no bit of any N
+    opts = rf.SearchOptions(strategy="lift-seeded", seed=1, restarts=2)
+    N_values = range(2, n_max + 1)
+    alone = {N: rf.local_search_minimize(fractal, N, s, opts) for N in N_values}
+    for N, got in rf.minimize._minima(fractal, s, N_values, opts).items():
+        want = alone[N]
+        assert got.record.energy.hex() == want.record.energy.hex(), N
+        assert got.points.tobytes() == want.points.tobytes(), N
+        assert (got.words, got.strategy, got.depth, got.iterations, got.min_distance) == \
+            (want.words, want.strategy, want.depth, want.iterations, want.min_distance), N
+    curve = rf.g_curve(fractal, s, 4, 2, n_max, opts)
+    assert {N: v.hex() for p in curve for N, v in zip(p.N_list, p.normalized_values)} == \
+        {N: r.record.normalized.hex() for N, r in alone.items()}
+    report = rf.monotonicity_check(fractal, s, N_values, opts)
+    assert [e.hex() for e in report.energies] == [alone[N].record.energy.hex() for N in N_values]
+
+
 # -------------------------------------------------------------- monotonicity
 
 def test_monotonicity_cantor(cantor13):

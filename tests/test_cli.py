@@ -374,7 +374,7 @@ def test_strategy_and_experiment_names_agree(monkeypatch, cantor13):
     def first_search(fractal, N, s, opts=None):
         raise _Searched((opts or rf.SearchOptions()).strategy)
 
-    monkeypatch.setattr(rf.asymptotics, "local_search_minimize", first_search)
+    monkeypatch.setattr(rf.asymptotics, "_minima", first_search)
     library_default = {"minimize": rf.SearchOptions().strategy}
     for experiment, call in [("g-curve", lambda: rf.g_curve(cantor13, 3.0, 4, 2, 8)),
                              ("monotonicity",
@@ -747,6 +747,20 @@ def test_exit_code_budget(tmp_path, capsys):
         code = rf.main(argv + ["--fractal", "cantor(1/3)", "--out", str(tmp_path)])
         assert code == 4, argv
         assert _last_json(capsys)["error"]["type"] == "ResourceBudgetError"
+
+
+@pytest.mark.parametrize("fractal, s, n", [("cantor(1/3)", 400, 5), ("cantor(1/3)", 110, 64),
+                                          ("cantor-dust-2d(1/4)", 400, 16)])
+def test_a_normalization_beyond_the_float_range_is_a_domain_error(fractal, s, n, tmp_path,
+                                                                  capsys):
+    # N**(1 + s/d) overflows: a typed error naming s/d, exit 5, no traceback
+    code = rf.main(["minimize", "--fractal", fractal, "--s", str(s), "--n", str(n),
+                    "--seed", "1", "--out", str(tmp_path)])
+    assert code == 5
+    error = _last_json(capsys)["error"]
+    assert error["type"] == "DomainError" and "overflows float64 at s/d" in error["message"]
+    with pytest.raises(rf.DomainError, match="overflows float64 at s/d"):
+        rf.exhaustive_minimize(rf.cantor("1/3"), 5, 300.0, 4)
 
 
 def test_exit_code_domain(tmp_path, capsys):

@@ -194,9 +194,11 @@ def test_other_chains_keep_the_direct_cross_pass(monkeypatch, case, mixed_fracta
 
 
 def test_polished_chains_sum_each_stage_once_on_one_mesh(monkeypatch, cantor13, mixed_fractal):
-    # a polished stage sums its lifted points once and forms no cross term;
-    # a stage that accepts no move keeps that sum, one that moves sums its
-    # end points again; stage 0's search and every stage share one mesh
+    # a polished stage forms no cross term; on equal ratios it sums its
+    # lifted points once for the lift bound, a stage that accepts no move
+    # keeps that sum and one that moves sums its end points again; on
+    # unequal ratios only the search sums, once; stage 0's search and every
+    # stage share one mesh
     cross_calls = _count_lift_cross(monkeypatch)
     sizes, meshes = [], []
 
@@ -219,7 +221,8 @@ def test_polished_chains_sum_each_stage_once_on_one_mesh(monkeypatch, cantor13, 
         meshes.clear()
         stages = rf.lift_chain(fractal, s, n0, k, opts=opts, polish=True)
         moves = [st.iterations for st in stages[1:]]
-        assert [sizes.count(st.record.N) for st in stages[1:]] == [1 + (m > 0) for m in moves]
+        assert [sizes.count(st.record.N) for st in stages[1:]] == \
+            [1 + (m > 0 and fractal.equal_ratios) for m in moves]
         assert len(meshes) == 1
         assert [st.depth for st in stages] == [stages[0].depth + j for j in range(k + 1)]
         if fractal is not mixed_fractal:
