@@ -11,7 +11,7 @@ tail bounds that control how far the heuristics can sit above the truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import (
 from .fractal import Fractal, _word_text, anchor_cloud, cell_diameter
 from .minimize import (
     SearchOptions,
-    _auto_depth,
     _level_words,
     _minima,
     lift_chain,
@@ -493,8 +492,8 @@ def monotonicity_check(fractal: Fractal, s: float, N_range,
                        opts: SearchOptions = None) -> MonotonicityReport:
     """Minimized energies over consecutive N, by default certified exhaustive.
 
-    Every N is searched by _minima, as in g_curve; the exhaustive route
-    takes one mesh for every N.
+    The whole range is searched by one _minima call under opts as given,
+    as in g_curve, so the exhaustive route searches every N on one mesh.
     """
     N_values = [int(n) for n in N_range]
     if len(N_values) < 2:
@@ -506,11 +505,6 @@ def monotonicity_check(fractal: Fractal, s: float, N_range,
         raise DomainError("N must start at 2 or above")
     if opts is None:
         opts = SearchOptions(strategy=_DEFAULT_STRATEGY["monotonicity"])
-    if opts.strategy == "exhaustive" and opts.depth is None:
-        # one mesh for every N, the least depth holding N_max anchors;
-        # max_depth bounds only local moves, so it is dropped, not checked
-        opts = replace(opts, depth=_auto_depth(len(fractal.maps), N_values[-1]),
-                       max_depth=None)
     energies = [result.record.energy for result in _minima(fractal, s, N_values, opts).values()]
     t = s / fractal.dimension
     violations = []

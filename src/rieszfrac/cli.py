@@ -54,7 +54,6 @@ from .fractal import _read_json, load_fractal, moran_dimension, parse_number
 from .minimize import (
     _STRATEGIES,
     SearchOptions,
-    _auto_depth,
     best_packing,
     local_search_minimize,
 )
@@ -123,11 +122,8 @@ def _run_minimize(fractal, params: dict, out_dir: str) -> dict:
 
 def _run_packing(fractal, params: dict, out_dir: str) -> dict:
     n = params["n"]
-    depth = params.get("depth")
-    if depth is None:
-        depth = _auto_depth(len(fractal.maps), n)
-    result = best_packing(fractal, n, depth, params.get("budget"))
-    summary = {"N": n, "depth": depth, "delta": result.delta,
+    result = best_packing(fractal, n, params.get("depth"), params.get("budget"))
+    summary = {"N": n, "depth": result.depth, "delta": result.delta,
                "certified": result.certified, "strategy": result.strategy}
     _write_row(out_dir, "packing_results.csv", summary,
                "delta: best found minimum pairwise distance")

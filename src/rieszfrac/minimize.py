@@ -111,6 +111,11 @@ _STRATEGIES = ("exhaustive", "local-search", "lift-seeded")
 class SearchOptions:
     """Knobs shared by the search strategies; seed fixes every random choice.
 
+    depth is a search's start depth or the exhaustive mesh depth (None: the
+    least depth l with M**l >= N, for "exhaustive" the largest N of the
+    range searched).  max_depth caps the words a local search moves to;
+    stage j of a lift chain, whose words are j letters longer, is capped at
+    max_depth + j.  None lets each search go 8 below its deepest start word.
     budget caps the subsets of an "exhaustive" enumeration and the accepted
     moves of each search of the other strategies; None is the strategy's default.
     A local search returns the best of `restarts` searches: restart 0 from
@@ -185,10 +190,13 @@ class MinimizeResult:
 
 @dataclass(frozen=True, eq=False)
 class PackingResult:
+    """A packing's points, least pair distance and the mesh depth searched."""
+
     config: Configuration
     delta: float
     certified: bool
     strategy: str
+    depth: int
 
 
 class _State:
@@ -300,6 +308,13 @@ def _auto_depth(M: int, N: int) -> int:
     while M ** depth < N:
         depth += 1
     return depth
+
+
+def _max_depth(opts: SearchOptions, deepest: int, lifts: int = 0) -> int:
+    """The deepest word a search may move to: opts.max_depth plus one per
+    lift (a lift adds one letter to every word), else its deepest start
+    word plus 8."""
+    return opts.max_depth + lifts if opts.max_depth is not None else deepest + 8
 
 
 def _farthest_point_indices(coords: np.ndarray, N: int):
@@ -491,7 +506,9 @@ def _screen_batch(pts: np.ndarray, s: float, i0: int, cells_of: list):
     N = pts.shape[0]
     end = i0 + len(cells_of)
     d2, k, current = _point_rows(pts, i0, end, s)
-    threshold = current - 1e-12 * (1.0 + np.abs(current))
+    # a point whose potential overflowed to inf gets threshold -inf: it does not move
+    threshold = np.where(current < np.inf, current, -np.inf)
+    threshold -= 1e-12 * (1.0 + np.abs(threshold))
     rows = [sum(map(len, cells)) for cells in cells_of]
     q = [r for r in range(end - i0) if rows[r] and rows[r] * N >= _CELL_SCREEN_MIN]
     certified = np.zeros(end - i0, dtype=bool)
@@ -558,7 +575,8 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
     scored in one call (_candidate_sums).
 
     The first minimum of the candidate values is accepted when it lies
-    below threshold = current - 1e-12 (1 + |current|).  Two screens skip
+    below threshold = current - 1e-12 (1 + |current|), or -inf where
+    current overflowed to inf, so that such a point does not move.  Two screens skip
     exact sums that cannot change that outcome: a candidate whose value is
     provably at or above threshold, or provably above another candidate's
     value, is neither the first minimum nor accepted, so it may be given
@@ -629,7 +647,7 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
             else:
                 sums = _candidate_sums(np.concatenate((pts[i : i + 1],) + cells), pts, s, i)
                 current, values = sums[0], sums[1:]
-                threshold = current - 1e-12 * (1.0 + abs(current))
+                threshold = current - 1e-12 * (1.0 + abs(current)) if current < np.inf else -np.inf
             if level:
                 G = kernels.get(depth)
                 if G is None:
@@ -934,7 +952,7 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions,
         raise DomainError("exponent s must be positive")
     M = len(fractal.maps)
     depth = opts.depth if opts.depth is not None else _auto_depth(M, N)
-    max_depth = opts.max_depth if opts.max_depth is not None else depth + 8
+    max_depth = _max_depth(opts, depth)
     if max_depth < depth:
         raise DomainError("max_depth must not be below depth")
     coords = mesh.level(depth)
@@ -985,7 +1003,9 @@ def _minima(fractal: Fractal, s: float, N_values, opts: SearchOptions) -> dict:
     """{N: MinimizeResult} for each N of N_values by the strategy opts
     names; the one place that dispatches on it.
 
-    "exhaustive" and "local-search" search each N alone.  "lift-seeded"
+    "exhaustive" searches every N on one mesh, of depth opts.depth or else
+    the least depth holding max(N_values) anchors, so a range's minima are
+    comparable.  "local-search" searches each N alone.  "lift-seeded"
     splits each N once into n0 * M**k, dividing out M while the ratios are
     equal and n0 // M >= 2, runs one polished lift_chain(n0, largest k) per
     n0 with some k >= 1 and gives N its stage k: a stage depends on the
@@ -997,8 +1017,8 @@ def _minima(fractal: Fractal, s: float, N_values, opts: SearchOptions) -> dict:
     M = len(fractal.maps)
     if opts.strategy == "exhaustive":
         budget = DEFAULT_SUBSET_BUDGET if opts.budget is None else opts.budget
-        return {N: exhaustive_minimize(fractal, N, s, opts.depth or _auto_depth(M, N),
-                                       budget=budget) for N in N_values}
+        depth = opts.depth or _auto_depth(M, max(N_values))
+        return {N: exhaustive_minimize(fractal, N, s, depth, budget=budget) for N in N_values}
     if opts.strategy == "lift-seeded" and M < 2:
         raise HypothesisError("lifting needs at least two maps")
     lifts = opts.strategy == "lift-seeded" and fractal.equal_ratios
@@ -1076,7 +1096,10 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     stage's, so a raw stage j keeps stage 0's words and j lifts; a polished
     stage decodes the words it searches on.  No stage's config is read
     here.  Every stage is a local search, so opts.strategy "exhaustive",
-    whose budget caps subsets, raises DomainError.
+    whose budget caps subsets, raises DomainError.  A polished stage j
+    moves words up to _max_depth(opts, its deepest word, j): opts.max_depth
+    + j, since a lift adds one letter to every word, else 8 below its
+    deepest lifted word.
     """
     opts = opts if opts is not None else SearchOptions()
     if opts.strategy == "exhaustive":
@@ -1115,7 +1138,7 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
             if pair is not None:
                 _check_lift_bound(fractal, s, n_prev, energy, pair[0])
             state = _State(_level_words(range(M * n_prev), M, 1, words), pts)
-            max_depth = max(len(w) for w in state.words) + 8
+            max_depth = _max_depth(opts, max(len(w) for w in state.words), j)
             state, pair, moves = _run_search(fractal, s, state, opts, max_depth, mesh, pair)
             words, pts, lifts, cross = state.words, state.pts, 0, None
         else:
@@ -1130,13 +1153,17 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     return stages
 
 
-def best_packing(fractal: Fractal, N: int, depth: int, budget: int = None) -> PackingResult:
+def best_packing(fractal: Fractal, N: int, depth: int = None,
+                 budget: int = None) -> PackingResult:
     """Maximize the least pairwise distance over the depth-l symbolic mesh.
 
-    Exhaustive (certified) while the subset count fits the budget (None is
-    DEFAULT_SUBSET_BUDGET), otherwise a farthest-point greedy start with
-    single-point exchange sweeps.
+    depth None is the least depth with M**l >= N, reported as
+    PackingResult.depth.  Exhaustive (certified) while the subset count
+    fits the budget (None is DEFAULT_SUBSET_BUDGET), otherwise a
+    farthest-point greedy start with single-point exchange sweeps.
     """
+    if depth is None:
+        depth = _auto_depth(len(fractal.maps), N)
     budget = DEFAULT_SUBSET_BUDGET if budget is None else budget
     if budget < 1:
         raise DomainError("budget must be positive")
@@ -1175,4 +1202,4 @@ def best_packing(fractal: Fractal, N: int, depth: int, budget: int = None) -> Pa
         addresses=words(chosen),
         fractal_label=fractal.label,
     )
-    return PackingResult(config, best_delta, certified, strategy)
+    return PackingResult(config, best_delta, certified, strategy, depth)

@@ -531,6 +531,20 @@ def test_multi_n_results_are_the_per_n_results(fractal, s, n_max):
     assert [e.hex() for e in report.energies] == [alone[N].record.energy.hex() for N in N_values]
 
 
+def test_g_curve_and_monotonicity_search_one_exhaustive_mesh(cantor13):
+    # no depth: one mesh for the range, the least depth holding N = 8 anchors,
+    # so both experiments report the same minimum at every N
+    opts = rf.SearchOptions(strategy="exhaustive")
+    N_values = range(2, 9)
+    curve = rf.g_curve(cantor13, 3.0, 4, 2, 8, opts)
+    report = rf.monotonicity_check(cantor13, 3.0, N_values, opts)
+    d = cantor13.dimension
+    assert {N: v.hex() for p in curve for N, v in zip(p.N_list, p.normalized_values)} == \
+        {N: rf.normalized_energy(e, N, 3.0, d).hex() for N, e in zip(N_values, report.energies)}
+    for N, e in zip(N_values, report.energies):
+        assert e.hex() == rf.exhaustive_minimize(cantor13, N, 3.0, 3).record.energy.hex(), N
+
+
 # -------------------------------------------------------------- monotonicity
 
 def test_monotonicity_cantor(cantor13):

@@ -749,6 +749,7 @@ def test_exit_code_budget(tmp_path, capsys):
         assert _last_json(capsys)["error"]["type"] == "ResourceBudgetError"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fractal, s, n", [("cantor(1/3)", 400, 5), ("cantor(1/3)", 110, 64),
                                           ("cantor-dust-2d(1/4)", 400, 16)])
 def test_a_normalization_beyond_the_float_range_is_a_domain_error(fractal, s, n, tmp_path,

@@ -254,7 +254,8 @@ for call in calls:
         seen.append(type(exc).__name__)
 spec = sys.argv[1]
 codes = [rf.main(["minimize", "--fractal", spec, "--s", "3", "--n", "4", "--out", sys.argv[2]]),
-         rf.main(["pack", "--fractal", spec, "--n", "4", "--out", sys.argv[2]])]
+         rf.main(["pack", "--fractal", spec, "--n", "4", "--out", sys.argv[2]]),
+         rf.main(["pack", "--fractal", spec, "--n", "4", "--budget", "0", "--out", sys.argv[2]])]
 print(json.dumps({"errors": seen, "codes": codes}))
 """
 
@@ -272,7 +273,7 @@ def test_one_map_fractal_searches_raise_instead_of_hanging(tmp_path):
                           capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
-    assert json.loads(lines[-1]) == {"errors": ["HypothesisError"] * 4, "codes": [3, 3]}
+    assert json.loads(lines[-1]) == {"errors": ["HypothesisError"] * 4, "codes": [3, 3, 3]}
 
 
 def test_local_search_validation(cantor13):
@@ -351,6 +352,24 @@ def test_lift_chain_regression_anchors(cantor13):
     assert [st.record.energy for st in stages] == [
         62.75000000000001, 3491.2740413629763, 188938.48157890895,
         10204211.13212981, 551033473.7413087]
+
+
+@pytest.mark.parametrize("max_depth, normalized", [
+    (None, (0.17394437177135114, 0.17443755940378602, 0.17447209622626067,
+            0.17447463793593632)),
+    (3, None),
+], ids=["no-cap", "cap-3"])
+def test_polished_stages_obey_max_depth(cantor13, max_depth, normalized):
+    # a lift adds one letter to every word, so stage j's cap is max_depth + j;
+    # with no cap each stage may go 8 below its deepest start word
+    opts = rf.SearchOptions(seed=1, max_depth=max_depth)
+    report = rf.geometric_limit(cantor13, 3.0, 5, 3, opts)
+    for j, stage in enumerate(report.stages):
+        assert stage.depth == 3 + j
+        if max_depth is not None:
+            assert max(len(w) for w in stage.words) <= max_depth + j, j
+    if normalized is not None:
+        assert report.normalized == normalized
 
 
 # The restart sampler against numpy.random, which stays the reference here:
@@ -596,6 +615,17 @@ def test_packing_greedy_route(cantor13):
     assert pk.delta == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
+def test_packing_resolves_its_own_depth(cantor13):
+    # no depth: the least depth with 2**l >= N, reported as the result's depth
+    auto, given = rf.best_packing(cantor13, 5), rf.best_packing(cantor13, 5, depth=3)
+    assert auto.depth == given.depth == 3
+    assert (auto.delta, auto.strategy, auto.config.addresses) == \
+        (given.delta, given.strategy, given.config.addresses)
+    assert auto.config.points.tobytes() == given.config.points.tobytes()
+
+
 def test_packing_validation(cantor13):
     with pytest.raises(rf.DomainError):
         rf.best_packing(cantor13, 1, depth=2)
+    with pytest.raises(rf.DomainError, match="depth must be at least 1"):
+        rf.best_packing(cantor13, 3, depth=0)
