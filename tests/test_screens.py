@@ -246,6 +246,39 @@ def test_search_matches_reference_loop_bitwise(case):
         assert G.tobytes() == ref_kernels[d].tobytes()
 
 
+# the drawn cases are small, so only their forced-to-0 thresholds screen;
+# these searches run at bench sizes with the module's own thresholds, where
+# the one-point level screen runs outside batches
+@pytest.mark.parametrize("name, s, depth", [("cantor(1/3)", 3.0, 8),
+                                            ("cantor-dust-2d(1/4)", 4.0, 4)])
+def test_search_matches_reference_loop_at_bench_size(name, s, depth):
+    fractal, N = rf.from_catalog(name), 256
+    M = len(fractal.maps)
+    coords = _Mesh(fractal).level(depth)
+    assert coords.shape[0] * N >= minimize._LEVEL_SCREEN_MIN and M ** depth <= LEVEL_MOVE_CAP
+    idx = np.sort(np.random.default_rng(7).choice(coords.shape[0], size=N, replace=False))
+    state = _State(minimize._level_words(idx, M, depth), coords[idx])
+    ref, new = _copy(state), _copy(state)
+    moves, ref_kernels = _reference_search(fractal, s, ref, depth + 2, 10_000)
+    kernels, screens = {}, []
+    with pytest.MonkeyPatch.context() as mp:
+        sweep = minimize._sweep
+
+        def spy(*args):
+            kernels.update(args[5])
+            return sweep(*args)
+
+        mp.setattr(minimize, "_sweep", spy)
+        _count_calls(mp, "_level_keep", lambda G, stats, cols, t: screens.append(cols))
+        _, _, total = minimize._run_search(fractal, s, new, rf.SearchOptions(), depth + 2,
+                                           _Mesh(fractal))
+    assert total == moves > 0 and screens
+    _assert_same(new, ref)
+    assert kernels.keys() == ref_kernels.keys()
+    for d, G in kernels.items():
+        assert G.tobytes() == ref_kernels[d].tobytes()
+
+
 def test_differential_cases_reach_the_screens():
     # the drawn cases above must exercise what they claim: both sides of
     # LEVEL_MOVE_CAP, accepted moves, and a level kernel holding an inf
