@@ -79,8 +79,8 @@ LEVEL_MOVE_CAP = 256
 _MAX_SWEEPS = 200
 # The screens in _sweep run only where the work they can skip outweighs
 # their own cost.  A cell screen, batched, costs a point about as much as
-# this many kernel terms (candidate rows times N); a level screen, about 20
-# numpy calls per point, as much as this many row-sum additions (K times N).
+# this many kernel terms (candidate rows times N); a level screen (18 numpy
+# calls, 10-14 us on a 2-vCPU VM) as much as summing half this many (K N).
 _CELL_SCREEN_MIN = 1 << 10
 _LEVEL_SCREEN_MIN = 1 << 16
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -162,9 +162,10 @@ class MinimizeResult:
     (_level_words), is built on its first read and kept.
 
     depth is a search's start depth, an exhaustive mesh's depth, or stage
-    0's plus j for stage j of a lift chain.  iterations counts the winning restart's accepted moves for a local
-    search, the subsets scored for an exhaustive one and a lift stage's own
-    moves (0 when raw): "lift-seeded" reports its last polished stage's only.
+    0's plus j for stage j of a lift chain.  iterations counts the winning
+    restart's accepted moves for a local search, the subsets scored for an
+    exhaustive one and a lift stage's own moves (0 when raw): "lift-seeded"
+    reports its last polished stage's only.
     """
 
     points: np.ndarray
@@ -374,22 +375,23 @@ def _update_level_stats(stats: list, old: np.ndarray, new: np.ndarray):
     With a and b the finite parts of old and new, R becomes fl(fl(R - a) + b),
     whose error grows by at most u(|R| + a) + u(|R| + a + b)(1 + u); the
     update adds 4u(|R| + a + b + E), which also covers its own rounding.
+    The caller ignores overflow, the only floating-point error it can raise.
     """
     R, C, E = stats
     old_inf, new_inf = np.isinf(old), np.isinf(new)
     a = np.where(old_inf, 0.0, old)
     b = np.where(new_inf, 0.0, new)
-    with np.errstate(over="ignore", invalid="ignore"):
-        E += 4.0 * _U * (np.abs(R) + a + b + E)
-        R -= a
-        R += b
+    E += 4.0 * _U * (np.abs(R) + a + b + E)
+    R -= a
+    R += b
     C += new_inf
     C -= old_inf
 
 
-def _level_keep(G: np.ndarray, stats: list, cols, thresholds) -> list:
-    """The indices of the rows of G that can still win, for each column
-    i = cols[b] at threshold thresholds[b], from one gather of G[:, cols].
+def _level_keep(G: np.ndarray, stats: list, cols, thresholds):
+    """The indices of the rows of G that can still win for column i = cols
+    at threshold `thresholds`, read on the view G[:, i]; for a list of
+    columns, one such array per column, from one gather of G[:, cols].
 
     Row j's value v_j is the float sum of its entries with column i zeroed.
     If the row holds an inf outside column i, v_j is exactly inf.  Otherwise
@@ -401,37 +403,32 @@ def _level_keep(G: np.ndarray, stats: list, cols, thresholds) -> list:
     row whose lower end lies above the least upper end U exceeds some other
     row's value and so is not the first minimum; a row whose lower end is
     at or above threshold cannot be accepted.  A row whose R_j overflowed
-    is always kept.  Each column's floats are those of a gather of it alone.
+    is always kept.  A column's floats are the same in a batch and alone.
     """
     R, C, E = stats
-    est = G[:, cols]
-    g_inf = np.isinf(est)
-    np.copyto(est, 0.0, where=g_inf)
-    np.subtract(R[:, None], est, out=est)
-    # three (K, len(cols)) floats at a time: est, margin (then hi) and lo
-    margin = np.abs(est)
-    margin *= (G.shape[1] + 4) * _U
-    margin += 2.0 * E[:, None]
+    g = G[:, cols]
+    if g.ndim == 2:
+        R, C, E = R[:, None], C[:, None], E[:, None]
+    g_inf = np.isinf(g)
+    # three floats per row and column at a time: est, margin (then hi) and lo
     with np.errstate(invalid="ignore"):
+        est = R - g
+        np.copyto(est, R, where=g_inf)
+        margin = np.abs(est)
+        margin *= (G.shape[1] + 4) * _U
+        margin += 2.0 * E
         lo = est - margin
     hi = np.add(est, margin, out=margin)
-    exact_inf = C[:, None] > g_inf
+    exact_inf = C > g_inf
     np.copyto(hi, np.inf, where=exact_inf)
     np.copyto(lo, np.inf, where=exact_inf)
     # a row whose R overflowed has lo = nan; the negated tests keep it
     least = hi.min(axis=0)
+    if g.ndim == 1:
+        return (~(lo > least) if least < thresholds else ~(lo >= thresholds)).nonzero()[0]
     return [np.flatnonzero(~(lo[:, b] > least[b]) if least[b] < threshold
                            else ~(lo[:, b] >= threshold))
             for b, threshold in enumerate(thresholds)]
-
-
-def _screened_level_values(G: np.ndarray, i: int, rows: np.ndarray):
-    """_level_values(G, i) on `rows`, the indices of the rows that can still
-    win (_level_keep), and +inf on the others."""
-    values = np.full(G.shape[0], np.inf)
-    if rows.size:
-        values[rows] = _level_values(G, i, rows)
-    return values
 
 
 def _certify_cells(pts: np.ndarray, idx: np.ndarray, d2: np.ndarray, k: np.ndarray,
@@ -558,42 +555,42 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
 
     Point i is offered the whole level of its depth d while M**d stays within
     LEVEL_MOVE_CAP, otherwise its sibling cells, plus its child cells while
-    d < max_depth.  Level values are row sums of the kernel G_d in `kernels`
-    (level d row against every point) with column i set to 0, the summands
-    point_energy_sums(..., skip_index=i) would form; an accepted move
-    recomputes column i of every G_d kept.  Cell blocks come from the mesh
-    (_Mesh.block).  Each restart has its own state and kernels, and the mesh
-    caches only coordinates, so a restart on a forked worker runs the same
-    float operations as one in this process.
+    d < max_depth.  kernels[d] holds (G_d, its bounds): level values are row
+    sums of G_d (level d row against every point) with column i set to 0,
+    the summands point_energy_sums(..., skip_index=i) would form; an
+    accepted move recomputes column i of every G_d kept.  Cell blocks come
+    from the mesh (_Mesh.block).  Each restart has its own state and
+    kernels, and the mesh caches only coordinates, so a restart on a forked
+    worker runs the same float operations as one in this process.
 
     offers[i] holds point i's offer (_offer), the coordinates of its cell
     blocks in the mesh, views of its levels or cached deeper blocks: one
     tuple of references per point, so memory stays O(N) and no coordinates
     are copied.  It depends only on the point's word, so it is kept, across
     sweeps when the caller passes offers, until the point moves; the blocks
-    with their words are looked up again only for an accepted move.  The point and its cell rows are
-    scored in one call (_candidate_sums).
+    with their words are looked up again only for an accepted move.  The
+    point and its cell rows are scored in one call (_candidate_sums).
 
-    The first minimum of the candidate values is accepted when it lies
-    below threshold = current - 1e-12 (1 + |current|), or -inf where
-    current overflowed to inf, so that such a point does not move.  Two screens skip
-    exact sums that cannot change that outcome: a candidate whose value is
-    provably at or above threshold, or provably above another candidate's
-    value, is neither the first minimum nor accepted, so it may be given
-    +inf instead.  Cell blocks use a near-field lower bound
-    (_certify_cells) where their rows times N reach _CELL_SCREEN_MIN; it is
-    formed for a batch of points at once (_screen_batch), together with
-    their current values, and a block it does not certify is scored
-    exactly.  A point whose cells are certified and that has no level offer
-    cannot move and is passed over.  Level candidates use per-row interval
-    estimates from [R, C, E] (_level_keep), rebuilt from each G_d once per
-    sweep and updated with its columns; they run where K N reaches
-    _LEVEL_SCREEN_MIN.  Within a batch the interval test runs once for all
-    of its level points of one depth, up to _BATCH_TERMS // 2 gathered
-    entries, and outside a batch for the point alone; the rows it keeps are
-    summed exactly point by point (_screened_level_values).  A
-    move ends the batch, since its values describe the old point, and the
-    next one waits for _MIN_BATCH points without a move.  Both bounds carry
+    The first minimum of the candidate values, level rows before cells, is
+    accepted when it lies below threshold = current - 1e-12 (1 + |current|),
+    or -inf where current overflowed to inf, so that such a point does not
+    move.  Two screens skip exact sums that cannot change that outcome: a
+    candidate whose value is provably at or above threshold, or provably
+    above another candidate's value, is neither the first minimum nor
+    accepted.  Cell blocks use a near-field lower bound (_certify_cells)
+    where their rows times N reach _CELL_SCREEN_MIN; it is formed for a
+    batch of points at once (_screen_batch), together with their current
+    values, and a block it does not certify is scored exactly.  A point
+    whose cells are certified and that has no level offer cannot move and
+    is passed over.  Level rows use per-row interval estimates from the
+    bounds [R, C, E] of G_d (_level_keep), built with it where K N reaches
+    _LEVEL_SCREEN_MIN (None below) and updated with its columns.  Within a
+    batch the interval test runs once for all of its level points of one
+    depth, up to _BATCH_TERMS // 2 gathered entries, and outside a batch on
+    the view G_d[:, i] alone; only the rows it keeps are summed exactly, and
+    the first minimum is taken over their sums and the cell values.  A move
+    ends the batch, since its values describe the old point, and the next
+    one waits for _MIN_BATCH points without a move.  Both bounds carry
     rounding margins, so accepted moves, energies and every artifact are
     bit-identical to scoring every candidate.
 
@@ -609,7 +606,6 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
     N = pts.shape[0]
     if offers is None:
         offers = [None] * N
-    stats = {}
     keeps = {}  # rows the level screen keeps, by point not yet scored
     batch_cap = max(1, _BATCH_TERMS // N)
     quiet = batch_cap  # points scored since the last accepted move
@@ -648,26 +644,29 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
                 sums = _candidate_sums(np.concatenate((pts[i : i + 1],) + cells), pts, s, i)
                 current, values = sums[0], sums[1:]
                 threshold = current - 1e-12 * (1.0 + abs(current)) if current < np.inf else -np.inf
+            j, best = None, np.inf  # the first minimum: level rows, then cells
             if level:
-                G = kernels.get(depth)
-                if G is None:
-                    G = kernels[depth] = _point_kernel(mesh.level(depth), pts, s)
-                if G.size < _LEVEL_SCREEN_MIN:
-                    level_values = _level_values(G, i)
-                else:
-                    if depth not in stats:
-                        stats[depth] = _level_stats(G)
-                    if i >= batch_end:
-                        keeps[i] = _level_keep(G, stats[depth], [i], [threshold])[0]
-                    elif i not in keeps:
-                        cols = [r for r in range(i, batch_end) if len(state.words[r]) == depth]
-                        cols = cols[: max(1, _BATCH_TERMS // 2 // G.shape[0])]
-                        keeps.update(zip(cols, _level_keep(
-                            G, stats[depth], cols, thresholds[np.array(cols) - batch_start])))
-                    level_values = _screened_level_values(G, i, keeps.pop(i))
-                values = level_values if values is None else np.concatenate([level_values, values])
-            j = int(np.argmin(values))
-            if values[j] < threshold:
+                if depth not in kernels:
+                    G = _point_kernel(mesh.level(depth), pts, s)
+                    kernels[depth] = G, _level_stats(G) if G.size >= _LEVEL_SCREEN_MIN else None
+                G, stats = kernels[depth]
+                if stats is not None and i >= batch_end:
+                    keeps[i] = _level_keep(G, stats, i, threshold)
+                elif stats is not None and i not in keeps:
+                    cols = [r for r in range(i, batch_end) if len(state.words[r]) == depth]
+                    cols = cols[: max(1, _BATCH_TERMS // 2 // G.shape[0])]
+                    keeps.update(zip(cols, _level_keep(
+                        G, stats, cols, thresholds[np.array(cols) - batch_start])))
+                rows = None if stats is None else keeps.pop(i)
+                if rows is None or rows.size:
+                    level_values = _level_values(G, i, rows)
+                    k = int(level_values.argmin())
+                    j, best = k if rows is None else int(rows[k]), level_values[k]
+            if values is not None and values.size:
+                k = int(values.argmin())
+                if values[k] < best:
+                    j, best = k + (G.shape[0] if level else 0), values[k]
+            if best < threshold:
                 for coords, prefix, lifts in _blocks(mesh, state.words[i], M, max_depth)[0]:
                     if j < coords.shape[0]:
                         break
@@ -675,10 +674,11 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
                 state.words[i] = prefix + mesh.words(lifts)[j]
                 pts[i] = coords[j]
                 offers[i] = None
-                for d, G in kernels.items():
-                    column = _point_kernel(pts[i : i + 1], mesh.level(d), s)[0]
-                    if d in stats:
-                        _update_level_stats(stats[d], G[:, i], column)
+                for d, (G, stats) in kernels.items():
+                    column = _sq_dists(pts[i : i + 1], mesh.level(d))[0]
+                    np.power(column, -0.5 * s, out=column)
+                    if stats is not None:
+                        _update_level_stats(stats, G[:, i], column)
                     G[:, i] = column
                 batch_end = quiet = 0
                 state.last_move = i
@@ -695,10 +695,10 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh, start_p
     lift_chain's pass of a polished stage's lifted points on equal
     ratios); a search that accepts no move returns it rather than summing
     the same points again.
-    The level kernels built by the first sweep that needs them are kept,
-    column by column current, for every later sweep, and so are the points'
-    offers until they move.  Each sweep after the first may end at the
-    previous sweep's last accepted move (see _sweep).
+    The level kernels built by the first sweep that needs them, each with
+    its bounds [R, C, E], are kept, column by column current, for every
+    later sweep, and so are the points' offers until they move.  Each sweep
+    after the first may end at the previous sweep's last accepted move.
     """
     kernels = {}
     offers = [None] * state.pts.shape[0]

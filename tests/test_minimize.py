@@ -460,7 +460,7 @@ def test_level_kernels_match_fresh_sums_bitwise(cantor13):
         accepted.append(_sweep(cantor13, s, state, depth + 2, mesh, kernels, 10_000))
         # the last sweep accepts nothing, so every column there was zeroed
         # and restored; a kept G_d must still be the kernel of the points
-        for d, G in kernels.items():
+        for d, (G, _) in kernels.items():
             assert G.tobytes() == _point_kernel(mesh.level(d), state.pts, s).tobytes()
     assert sum(accepted) > 0 and len(kernels) >= 2
     # each point is one of the M points psi_w(f_b) of its word w's cell
@@ -468,7 +468,7 @@ def test_level_kernels_match_fresh_sums_bitwise(cantor13):
         cell = mesh.block(w[:-1])[(w[-1] - 1) * M : w[-1] * M]
         assert pt.tobytes() in {row.tobytes() for row in cell}
     saw_inf = False
-    for d, G in kernels.items():
+    for d, (G, _) in kernels.items():
         before = G.tobytes()
         for i in range(N):
             values = _level_values(G, i)

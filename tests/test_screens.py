@@ -24,8 +24,8 @@ from rieszfrac.minimize import (
     LEVEL_MOVE_CAP,
     _level_keep,
     _level_stats,
+    _level_values,
     _Mesh,
-    _screened_level_values,
     _State,
     _update_level_stats,
 )
@@ -192,7 +192,7 @@ def test_screened_sweep_matches_reference_bitwise(case):
             assert got == expected
             _assert_same(new, ref)
             assert new_kernels.keys() == ref_kernels.keys()
-            for d, G in new_kernels.items():
+            for d, (G, _) in new_kernels.items():
                 assert G.tobytes() == ref_kernels[d].tobytes()
             if expected == 0:
                 break
@@ -242,7 +242,7 @@ def test_search_matches_reference_loop_bitwise(case):
     assert sum(accepted) == moves
     _assert_same(new, ref)
     assert kernels.keys() == ref_kernels.keys()
-    for d, G in kernels.items():
+    for d, (G, _) in kernels.items():
         assert G.tobytes() == ref_kernels[d].tobytes()
 
 
@@ -275,7 +275,7 @@ def test_search_matches_reference_loop_at_bench_size(name, s, depth):
     assert total == moves > 0 and screens
     _assert_same(new, ref)
     assert kernels.keys() == ref_kernels.keys()
-    for d, G in kernels.items():
+    for d, (G, _) in kernels.items():
         assert G.tobytes() == ref_kernels[d].tobytes()
 
 
@@ -312,8 +312,17 @@ def _decision(values, threshold):
     return (j, values[j].tobytes()) if values[j] < threshold else None
 
 
+def _screened_level_values(G, i, rows):
+    """The exact level values of the kept rows and +inf on the others."""
+    values = np.full(G.shape[0], np.inf)
+    if rows.size:
+        values[rows] = _level_values(G, i, rows)
+    return values
+
+
 def _check_level_screen(G, i):
-    """The screen gives the sweep's decision at every threshold that matters."""
+    """The screen gives the sweep's decision at every threshold that matters,
+    and a column screened alone keeps the rows a batch of all columns keeps."""
     G = np.array(G, dtype=float)
     before = G.tobytes()
     exact = _reference_level_values(G, i)
@@ -321,7 +330,12 @@ def _check_level_screen(G, i):
     finite = exact[np.isfinite(exact)]
     least = finite.min() if finite.size else math.inf
     for threshold in (math.inf, np.nextafter(least, math.inf), least, 0.0):
-        screened = _screened_level_values(G, i, _level_keep(G, stats, [i], [threshold])[0])
+        kept = _level_keep(G, stats, i, threshold)
+        batch = _level_keep(G, stats, list(range(G.shape[1])), [threshold] * G.shape[1])
+        for col in range(G.shape[1]):
+            alone = _level_keep(G, stats, col, threshold)
+            assert alone.dtype == batch[col].dtype and np.array_equal(alone, batch[col])
+        screened = _screened_level_values(G, i, kept)
         assert _decision(screened, threshold) == _decision(exact, threshold)
         j = int(np.argmin(exact))
         if threshold == math.inf:
@@ -381,7 +395,13 @@ def test_level_screen_overflowed_row_sum():
         _check_level_screen(G, i)
 
 
-def test_level_stats_follow_column_updates():
+def _assert_bounds_hold(G, stats):
+    fresh_R, fresh_C, fresh_E = _level_stats(G)
+    assert np.array_equal(stats[1], fresh_C)
+    assert np.all(np.abs(stats[0] - fresh_R) <= stats[2] + fresh_E)
+
+
+def test_level_stats_follow_column_updates(monkeypatch, cantor13):
     rng = np.random.default_rng(3)
     G = rng.random((40, 9)) ** -3.0
     G[5, 2] = np.inf
@@ -391,11 +411,25 @@ def test_level_stats_follow_column_updates():
         column[11] = np.inf
         _update_level_stats(stats, G[:, i], column)
         G[:, i] = column
-        fresh_R, fresh_C, fresh_E = _level_stats(G)
-        assert np.array_equal(stats[1], fresh_C)
-        assert np.all(np.abs(stats[0] - fresh_R) <= stats[2] + fresh_E)
+        _assert_bounds_hold(G, stats)
         for j in range(9):
             _check_level_screen(G, j)
+    # across sweep boundaries: a level kernel's bounds are built with it, kept
+    # beside it and updated by the moves of every later sweep
+    monkeypatch.setattr(minimize, "_LEVEL_SCREEN_MIN", 0)
+    mesh, depth, N = _Mesh(cantor13), 5, 24
+    coords = mesh.level(depth)
+    idx = np.sort(rng.choice(coords.shape[0], size=N, replace=False))
+    state = _State(minimize._level_words(idx, 2, depth), coords[idx])
+    kernels, built, moves = {}, {}, []
+    while not moves or moves[-1]:
+        moves.append(minimize._sweep(cantor13, 3.0, state, depth + 2, mesh, kernels, 10_000))
+        for d, (G, stats) in kernels.items():
+            assert built.setdefault(d, stats) is stats
+            _assert_bounds_hold(G, stats)
+            for j in range(0, N, 5):
+                _check_level_screen(G, j)
+    assert len(moves) >= 3 and moves[1] > 0 and len(kernels) >= 2
 
 
 # -------------------------------------------------- cell bound margins
@@ -495,7 +529,7 @@ def test_candidate_sums_beyond_one_block_match_point_energy_sums(monkeypatch):
 
 def test_level_screen_batches_its_columns(monkeypatch, cantor13):
     widths = []
-    _count_calls(monkeypatch, "_level_keep", lambda G, stats, cols, t: widths.append(len(cols)))
+    _count_calls(monkeypatch, "_level_keep", lambda G, stats, cols, t: widths.append(np.size(cols)))
     rf.local_search_minimize(cantor13, 256, 3.0, rf.SearchOptions(seed=0))
     assert max(widths) > 1
 
