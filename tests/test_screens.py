@@ -5,7 +5,7 @@ out.  The reference below is the sweep as it was before the screens, which
 scores every candidate; the differential test drives both from the same
 states and compares every accepted move bit for bit.  The size thresholds
 are private module constants, set to 0 here so that small cases run the
-screens too.
+screens too; two searches at benchmark sizes run with them as they are.
 """
 
 import contextlib
