@@ -3,9 +3,11 @@
 Normalized energy means E_s(omega_N) / N^(1+s/d) throughout, with the
 ordered-pair energy convention.  Certificates (gap_certificate,
 cantor_gap_check, pigeonhole_bound) are closed-form evaluations with a
-directed-rounding slack of 1e-12 on strict comparisons; experiment runners
-(geometric_limit, g_curve, ...) report heuristic minima plus the analytic
-tail bounds that control how far the heuristics can sit above the truth.
+directed-rounding slack of 1e-12 on strict comparisons.  beta_optimum,
+the simplex minimum behind the weak* limit, is closed form too (beta = R,
+by Jensen's inequality).  Experiment runners (geometric_limit, g_curve, ...)
+report heuristic minima plus the analytic tail bounds that control how far
+the heuristics can sit above the truth.
 """
 
 from __future__ import annotations
@@ -225,22 +227,15 @@ def beta_objective(beta, R_list, s: float, d: float) -> float:
     return float(np.sum(beta ** (1.0 + t) * R ** (-t)))
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, len(v) + 1)
-    cond = u + (1.0 - css) / idx > 0.0
-    rho = int(np.nonzero(cond)[0][-1])
-    lam = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
-
-
 def beta_optimum(R_list, s: float, d: float):
     """Minimize the cell-fraction objective over the probability simplex.
 
-    Runs projected gradient descent from the uniform vector, then checks the
-    stationarity solution beta = R; returns whichever evaluates lower.  The
-    minimum is beta = R with value 1, and that is asserted before returning.
+    The minimizer is beta = R, with value 1, in closed form.  With t = s/d
+    the objective is sum_m R_m * (beta_m / R_m)**(1+t), the mean of the
+    strictly convex x**(1+t) under the weights R.  By Jensen's inequality it
+    is at least (sum_m R_m * beta_m / R_m)**(1+t) = 1, with equality only
+    where beta_m / R_m is constant, that is at beta = R.  The value at R is
+    checked against 1 before returning.
     """
     R = np.asarray(R_list, dtype=float)
     if R.ndim != 1 or R.size < 1:
@@ -251,30 +246,10 @@ def beta_optimum(R_list, s: float, d: float):
         raise DomainError("R_list must sum to 1 within 1e-10")
     if d <= 0.0 or s <= d:
         raise DomainError("need d > 0 and s > d")
-    t = s / d
-    beta = np.full(R.size, 1.0 / R.size)
-    value = beta_objective(beta, R, s, d)
-    step = 0.25
-    for _ in range(500):
-        grad = (1.0 + t) * (beta / R) ** t
-        trial = _project_simplex(beta - step * grad)
-        trial_value = beta_objective(trial, R, s, d)
-        while trial_value > value and step > 1e-18:
-            step *= 0.5
-            trial = _project_simplex(beta - step * grad)
-            trial_value = beta_objective(trial, R, s, d)
-        if trial_value >= value - 1e-16 * (1.0 + abs(value)):
-            break
-        beta, value = trial, trial_value
-    exact = beta_objective(R, R, s, d)
-    if exact <= value:
-        beta, value = R.copy(), exact
-    if abs(value - 1.0) > 1e-9 or float(np.max(np.abs(beta - R))) > 1e-7:
-        raise AssertionError(
-            "simplex optimum should be beta = R with value 1; "
-            f"got value {value!r}"
-        )
-    return beta, value
+    value = beta_objective(R, R, s, d)
+    if abs(value - 1.0) > 1e-9:
+        raise AssertionError(f"simplex optimum should be beta = R with value 1; got {value!r}")
+    return R.copy(), value
 
 
 # ---------------------------------------------------------------------------

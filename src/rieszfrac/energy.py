@@ -6,9 +6,9 @@ loop runs over fixed row blocks of PAIR_BLOCK points in row order; within one
 configuration it covers only the upper triangle i < j, and the energy sum is
 doubled at the end.  Memory stays O(N * PAIR_BLOCK), except where a whole
 (K, N) candidate kernel is asked for (_point_kernel, point_energy_sums), and
-results bit-stable across process thread counts.  The one loop that is not over points, the
-cross term of a raw lift stage from translation-difference clouds, runs over
-blocks of about CLOUD_BLOCK kernel entries.
+results bit-stable across process thread counts.  The one loop that is not
+over points, the cross term of a raw lift stage from translation-difference
+clouds, runs over blocks of about CLOUD_BLOCK kernel entries.
 """
 
 from __future__ import annotations

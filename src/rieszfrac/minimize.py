@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -1005,14 +1005,16 @@ def _minima(fractal: Fractal, s: float, N_values, opts: SearchOptions) -> dict:
 
     "exhaustive" searches every N on one mesh, of depth opts.depth or else
     the least depth holding max(N_values) anchors, so a range's minima are
-    comparable.  "local-search" searches each N alone.  "lift-seeded"
-    splits each N once into n0 * M**k, dividing out M while the ratios are
-    equal and n0 // M >= 2, runs one polished lift_chain(n0, largest k) per
-    n0 with some k >= 1 and gives N its stage k: a stage depends on the
-    stages before it alone, so it is, bit for bit, the last stage of a chain
-    of its own.  Stage 0 is the local search at n0 on a fresh mesh, which
-    N = n0 reports as "local-search"; an n0 with no lift gets that search
-    alone.  Each chain runs when the first of its N comes up.
+    comparable.  Every other N is a stage of one polished lift_chain.
+    "lift-seeded" splits each N once into n0 * M**k, dividing out M while
+    the ratios are equal and n0 // M >= 2, runs one lift_chain(n0, largest
+    k) per n0 and gives N its stage k: a stage depends on the stages before
+    it alone, so it is, bit for bit, the last stage of a chain of its own.
+    "local-search" splits nothing, so each N is searched alone, as a chain
+    with k = 0.  Stage 0 is the local search at n0 on a fresh mesh, which
+    reports itself as "local-search".  Each chain runs when the first of
+    its N comes up.  A one-map fractal under "lift-seeded" is rejected
+    before the split, which would never end on it.
     """
     M = len(fractal.maps)
     if opts.strategy == "exhaustive":
@@ -1021,6 +1023,8 @@ def _minima(fractal: Fractal, s: float, N_values, opts: SearchOptions) -> dict:
         return {N: exhaustive_minimize(fractal, N, s, depth, budget=budget) for N in N_values}
     if opts.strategy == "lift-seeded" and M < 2:
         raise HypothesisError("lifting needs at least two maps")
+    if any(N < 2 for N in N_values):
+        raise DomainError("need at least two points")
     lifts = opts.strategy == "lift-seeded" and fractal.equal_ratios
     split, top = {}, {}
     for N in N_values:
@@ -1029,15 +1033,7 @@ def _minima(fractal: Fractal, s: float, N_values, opts: SearchOptions) -> dict:
             n0, k = n0 // M, k + 1
         split[N] = n0, k
         top[n0] = max(top.get(n0, 0), k)
-    stages = {}
-    for n0, k in top.items():
-        if k:
-            chain = lift_chain(fractal, s, n0, k, opts=opts, polish=True)
-            stages[n0] = [replace(chain[0], strategy="local-search")] + chain[1:]
-        else:
-            state, pair, moves, depth = _local_search_state(fractal, n0, s, opts, _Mesh(fractal))
-            stages[n0] = [_result(fractal, s, state.pts, state.words, "local-search", False,
-                                  moves, pair, depth)]
+    stages = {n0: lift_chain(fractal, s, n0, k, opts, polish=True) for n0, k in top.items()}
     return {N: stages[n0][k] for N, (n0, k) in split.items()}
 
 
@@ -1075,7 +1071,12 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
 
     Returns one MinimizeResult per stage, sizes n0 * M**j for j = 0..k;
     stage j reports depth d0 + j, d0 the start depth of stage 0 (0 for
-    n0 = 1).  Stage 0's search and every polished stage share one _Mesh.
+    n0 = 1).  Stage 0 is the local search at n0, reported as
+    "local-search", or for n0 = 1 the base anchor; every later stage is
+    "lift-seeded".  With k = 0 the chain is that search alone, which is how
+    _minima searches an N it does not lift, and only k >= 1 needs M >= 2
+    and sigma > 0 (the search checks sigma for itself).  Stage 0's search
+    and every polished stage share one _Mesh.
     On equal ratios a polished stage sums its lifted points in one
     _pair_pass, the energy the lift bound is checked on, and its search
     starts from that pair, so a stage that accepts no move sums nothing
@@ -1087,9 +1088,9 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     sum_m r_m**(-s) * E_prev + cross_j and its squared min_distance
     min(min_m r_m**2 * delta_prev**2, least cross distance**2), so it
     describes the exact images of the previous stage and the lift bound is
-    checked on that energy; it carries cross_j as `cross`.  When the maps share one linear part
-    (Fractal.shared_linear_part) cross_j is drawn from one
-    _shared_lift_crosses generator per chain, which forms the
+    checked on that energy; it carries cross_j as `cross`.  When the maps
+    share one linear part (Fractal.shared_linear_part) cross_j is drawn from
+    one _shared_lift_crosses generator per chain, which forms the
     translation-difference clouds of stage 0 on its first draw and advances
     them by one stage per draw; otherwise it comes from one _lift_cross pass
     over the images.  A stage's points are the image cloud of the previous
@@ -1105,9 +1106,9 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     if opts.strategy == "exhaustive":
         raise DomainError("lift chains search locally; strategy 'exhaustive' is not supported")
     M = len(fractal.maps)
-    if M < 2:
+    if k > 0 and M < 2:
         raise HypothesisError("lifting needs at least two maps")
-    if fractal.sigma <= 0.0:
+    if k > 0 and fractal.sigma <= 0.0:
         raise HypothesisError("lift chains need a certified positive separation")
     if n0 < 1:
         raise DomainError("n0 must be at least 1")
@@ -1116,11 +1117,11 @@ def lift_chain(fractal: Fractal, s: float, n0: int, k: int,
     mesh = _Mesh(fractal)
     if n0 == 1:
         words, pts = [()], fractal.base_anchor()[None, :]
-        pair, moves, depth = (0.0, math.inf), 0, 0
+        pair, moves, depth, strategy = (0.0, math.inf), 0, 0, "lift-seeded"
     else:
         state, pair, moves, depth = _local_search_state(fractal, n0, s, opts, mesh)
-        words, pts = state.words, state.pts
-    stages = [_result(fractal, s, pts, words, "lift-seeded", False, moves, pair, depth)]
+        words, pts, strategy = state.words, state.pts, "local-search"
+    stages = [_result(fractal, s, pts, words, strategy, False, moves, pair, depth)]
     # sep2 stays squared across stages: a root taken in between would move its bits
     energy, sep2 = pair
     weight = sum(m.ratio ** (-s) for m in fractal.maps)

@@ -254,6 +254,8 @@ def test_beta_optimum_random_simplexes(rng):
         beta, value = rf.beta_optimum(R, s=s_over_d, d=1.0)
         assert abs(value - 1.0) <= 1e-9
         assert float(np.max(np.abs(beta - R))) <= 1e-7
+        # the closed form: R itself, in a copy
+        assert beta.tolist() == R.tolist() and beta is not R
 
 
 def test_beta_objective_never_below_one(rng):
@@ -489,25 +491,29 @@ def test_cell_measure_validation(cantor13):
 
 def test_g_curve_runs_one_lift_chain_per_n0(monkeypatch, cantor13):
     # N = 2..96 under lift-seeded: the N = n0 * 2**k of one n0 read one chain,
-    # 24 chains (n0 = 2 and the odd n0 up to 47) and 48 stage-0 searches
-    # (one per n0, the odd n0 from 49 on searched alone); one chain per N
-    # would run 47 chains and 95 searches
-    calls = {"lift_chain": 0, "_local_search_state": 0}
+    # 48 chains (n0 = 2 and every odd n0), each with one stage-0 search; the
+    # 24 of n0 = 2 and the odd n0 up to 47 lift, the odd n0 from 49 on are
+    # chains with k = 0; one chain per N would run 95 chains and 95 searches
+    chains, searches = [], []
+    lift_chain, search = rf.minimize.lift_chain, rf.minimize._local_search_state
 
-    def counting(name):
-        wrapped = getattr(rf.minimize, name)
+    def counted_chain(fractal, s, n0, k, *args, **kwargs):
+        chains.append((n0, k))
+        return lift_chain(fractal, s, n0, k, *args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return wrapped(*args, **kwargs)
-        monkeypatch.setattr(rf.minimize, name, counted)
+    def counted_search(*args, **kwargs):
+        searches.append(args[1])
+        return search(*args, **kwargs)
 
-    for name in calls:
-        counting(name)
+    monkeypatch.setattr(rf.minimize, "lift_chain", counted_chain)
+    monkeypatch.setattr(rf.minimize, "_local_search_state", counted_search)
     opts = rf.SearchOptions(strategy="lift-seeded", seed=1)
     points = rf.g_curve(cantor13, 3.0, 16, 2, 96, opts)
     assert sorted(n for p in points for n in p.N_list) == list(range(2, 97))
-    assert calls == {"lift_chain": 24, "_local_search_state": 48}
+    top = {n0: max(k for k in range(7) if n0 * 2 ** k <= 96) for n0 in [2, *range(3, 97, 2)]}
+    assert (len(chains), len(searches)) == (48, 48)
+    assert sum(k >= 1 for _, k in chains) == 24
+    assert dict(chains) == top and sorted(searches) == sorted(top)
 
 
 @pytest.mark.parametrize("fractal, s, n_max", [(rf.cantor("1/3"), 3.0, 24),

@@ -322,6 +322,27 @@ def test_monotonicity_artifacts(tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_monotonicity_reports_a_violation(tmp_path, capsys):
+    # one accepted move per search: N = 24 on the dust is stage 1 of the
+    # n0 = 6 lift chain, and its energy falls below that of N = 23
+    out = str(tmp_path)
+    code = rf.main(["monotonicity", "--fractal", "cantor-dust-2d(1/4)", "--s", "3",
+                    "--n-max", "24", "--strategy", "lift-seeded", "--budget", "1",
+                    "--restarts", "1", "--seed", "0", "--out", out])
+    assert code == 0
+    summary = _last_json(capsys)
+    assert summary["violations"] == [24] and summary["monotone"] is False
+    with open(os.path.join(out, "monotonicity_summary.json"), encoding="utf-8") as fh:
+        assert json.load(fh) == summary
+    opts = rf.SearchOptions(strategy="lift-seeded", budget=1, restarts=1, seed=0)
+    report = rf.monotonicity_check(rf.cantor_dust_2d("1/4"), 3.0, range(2, 25), opts)
+    assert report.violations == (24,)
+    assert report.energies[-2:] == pytest.approx((34882.7551, 32989.7066), abs=1e-4)
+    assert report.increments[-1] < 0.0 and min(report.increments[:-1]) > 0.0
+    header, rows = rf.serialize.read_table(os.path.join(out, "monotonicity.csv"))
+    assert [float(row[1]) for row in rows] == list(report.energies)
+
+
 # --------------------------------------------------------------- run + config
 
 def test_run_from_config_file(tmp_path, capsys):

@@ -397,10 +397,12 @@ def test_restart_sampler_matches_numpy_choice(seed, restart):
     from rieszfrac.parallel import restart_indices
 
     # Floyd's algorithm unless K > 10000 and N > K // 50, then the tail
-    # shuffle; K = 2**33 + 5 takes the 64-bit bounded draws
+    # shuffle; K = 2**33 + 5 takes the 64-bit bounded draws, and K = 3 << 30,
+    # a quarter of whose 32-bit draws are rejected, runs Lemire's rejection
+    # loop for every seed and restart here
     grid = [(1, 1), (9, 1), (9, 9), (10000, 200), (10000, 201), (10000, 10000),
             (10001, 1), (10001, 200), (10001, 201), (10001, 10001),
-            (30000, 600), (30000, 601), (2**33 + 5, 3)]
+            (30000, 600), (30000, 601), (2**33 + 5, 3), (3 << 30, 50)]
     for K, N in grid:
         gen = np.random.Generator(np.random.PCG64(_numpy_child(seed, restart)))
         want = np.sort(gen.choice(K, size=N, replace=False)).tolist()
@@ -613,6 +615,23 @@ def test_packing_greedy_route(cantor13):
     pk = rf.best_packing(cantor13, 3, depth=4, budget=10)
     assert pk.strategy == "greedy-exchange" and not pk.certified
     assert pk.delta == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def test_packing_exchange_lifts_the_greedy_start():
+    # uniform(3, 0.2) at depth 2 has C(27, 6) 6-subsets of its mesh, over
+    # budget 1: the greedy maximin start is 0.1 apart, and the exchange
+    # sweeps move it to the certified exhaustive optimum, bit for bit
+    fractal = rf.from_catalog("uniform(3, 0.2)")
+    coords, _ = rf.minimize._subset_mesh(fractal, 6, 2, base_only=False)
+    start = coords[rf.minimize._farthest_point_indices(coords, 6)]
+    pk = rf.best_packing(fractal, 6, depth=2, budget=1)
+    best = rf.best_packing(fractal, 6, depth=2)
+    assert pk.strategy == "greedy-exchange" and not pk.certified
+    assert best.strategy == "exhaustive" and best.certified
+    assert rf.min_pairwise_distance(rf.Configuration(start)) == pytest.approx(0.1, rel=1e-12)
+    assert pk.delta.hex() == best.delta.hex() == (0.19999999999999996).hex()
+    assert pk.delta == rf.min_pairwise_distance(pk.config)
+    assert sorted(pk.config.addresses) == sorted(best.config.addresses)
 
 
 def test_packing_resolves_its_own_depth(cantor13):
