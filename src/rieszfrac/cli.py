@@ -64,9 +64,8 @@ _ENERGY_NOTE = "energy convention: ordered pairs, sum over i != j of |xi - xj|^(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """An experiment document and the runner params read from it."""
+    """The runner params read from an experiment document."""
 
-    doc: dict
     params: dict
 
     @classmethod
@@ -79,7 +78,7 @@ class ExperimentConfig:
             raise UsageError("experiment config rejected: it holds NaN or Infinity") from exc
         except TypeError as exc:  # a number JSON cannot hold, such as np.int64
             raise UsageError(f"experiment config rejected: {exc}") from exc
-        return cls(doc, _document_params(doc))
+        return cls(_document_params(doc))
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

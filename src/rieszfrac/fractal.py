@@ -462,13 +462,12 @@ def cantor_dust_2d(r) -> Fractal:
 
 
 def uniform_line(m, r) -> Fractal:
-    """m equally spaced collinear maps on [0, 1]; gaps (1 - m r)/(m - 1)."""
+    """m equally spaced collinear maps on [0, 1]; gaps (1 - m r)/(m - 1).
+    A ratio outside (0, 1) is the DomainError of its Similitude."""
     m = int(m)
     r = parse_number(r)
     if m < 2:
         raise DomainError("uniform(M, r) needs M >= 2")
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"contraction ratio must lie in (0, 1), got {r}")
     gap = (1.0 - m * r) / (m - 1)
     spacing = (1.0 - r) / (m - 1)
     maps = tuple(_sim_1d(r, i * spacing) for i in range(m))

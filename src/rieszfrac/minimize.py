@@ -76,7 +76,6 @@ _MOVE_BUDGET = 10_000  # accepted moves of a search when SearchOptions.budget is
 # whole-level relocation moves are offered while M**depth stays below this;
 # deeper points fall back to same-parent sibling and child moves only
 LEVEL_MOVE_CAP = 256
-_MAX_SWEEPS = 200
 # The screens in _sweep run only where the work they can skip outweighs
 # their own cost.  A cell screen, batched, costs a point about as much as
 # this many kernel terms (candidate rows times N); a level screen (18 numpy
@@ -620,8 +619,6 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
             cells = offers[i]
             depth = len(state.words[i])
             level = depth >= 1 and M ** depth <= LEVEL_MOVE_CAP
-            if not (cells or level):
-                continue
             R = sum(map(len, cells))
             if i >= batch_end and R and R * N >= _CELL_SCREEN_MIN and quiet >= _MIN_BATCH:
                 batch_start, batch_end = i, min(N, i + min(batch_cap, 2 * quiet))
@@ -687,7 +684,10 @@ def _sweep(fractal: Fractal, s: float, state: _State, max_depth: int, mesh: _Mes
 
 
 def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh, start_pair=None):
-    """Sweep until no move improves, the move budget is spent or _MAX_SWEEPS.
+    """Sweep while fewer moves than the budget (opts.budget, else
+    _MOVE_BUDGET) are accepted, and stop at the first sweep that accepts
+    none.  Every sweep before that one accepts a move, so the budget also
+    bounds the sweeps.
 
     Returns the state, the (energy, least squared pair distance) of its
     points and the accepted moves.  start_pair, if given, is the _pair_pass
@@ -705,14 +705,11 @@ def _run_search(fractal, s, state, opts: SearchOptions, max_depth, mesh, start_p
     budget = _MOVE_BUDGET if opts.budget is None else opts.budget
     total = 0
     stop = None
-    for _ in range(_MAX_SWEEPS):
-        left = budget - total
-        if left <= 0:
+    while total < budget:
+        accepted = _sweep(fractal, s, state, max_depth, mesh, kernels, budget - total, offers, stop)
+        if not accepted:
             break
-        accepted = _sweep(fractal, s, state, max_depth, mesh, kernels, left, offers, stop)
         total += accepted
-        if accepted == 0:
-            break
         stop = state.last_move
     del kernels, offers  # not held through the pair pass
     if total == 0 and start_pair is not None:
@@ -737,21 +734,15 @@ def _result(fractal, s, pts: np.ndarray, words, strategy, certified, iterations,
                           math.sqrt(sep2) if n >= 2 else math.nan, depth, lifts, cross)
 
 
-def _first_best(K: int, N: int, score):
-    """(least score, subset) over the N-subsets of range(K).
+def _first_best(matrix: np.ndarray, N: int, score):
+    """(least score, subset) over the N-subsets of the rows of matrix, each
+    scored on its block matrix[sub, sub].
 
-    Subsets are visited in lexicographic order and only a strictly lower
-    score replaces the incumbent, so the first minimum is kept.  The subset
-    is None when no score is below +inf.
+    min compares (score, subset) pairs, so of equal scores the
+    lexicographically first subset, the first one visited, is kept.
     """
-    best_score = math.inf
-    best = None
-    for subset in itertools.combinations(range(K), N):
-        value = score(subset)
-        if value < best_score:
-            best_score = value
-            best = subset
-    return best_score, best
+    return min((score(matrix[np.ix_(sub, sub)]), sub)
+               for sub in itertools.combinations(range(matrix.shape[0]), N))
 
 
 def _subset_mesh(fractal: Fractal, N: int, depth: int, base_only: bool):
@@ -774,11 +765,13 @@ def _subset_mesh(fractal: Fractal, N: int, depth: int, base_only: bool):
 
 
 def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
-                        mesh: str = "anchor",
-                        budget: int = DEFAULT_SUBSET_BUDGET) -> MinimizeResult:
-    """Certified minimum over all N-subsets of the depth-l candidate mesh.
+                        mesh: str = "anchor", budget: int = None) -> MinimizeResult:
+    """Certified minimum over all N-subsets of the depth-l candidate mesh,
+    within budget subsets (None is DEFAULT_SUBSET_BUDGET).
 
-    Subsets are visited in lexicographic order and the first minimum is kept.
+    Of equal energies the lexicographically first subset is kept
+    (_first_best); every subset holding coincident points scores inf, so a
+    least energy of inf raises SingularConfigurationError.
     Certified means the minimum over this one finite mesh: an upper bound on
     the true minimal energy E_s(A; N), not its value.  On cantor(1/3) at
     s = 3, N = 3 and depth 4 the anchor mesh gives 69.3 and the endpoint mesh
@@ -786,6 +779,7 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
     """
     if mesh not in ("anchor", "endpoint"):
         raise DomainError("mesh must be 'anchor' or 'endpoint'")
+    budget = DEFAULT_SUBSET_BUDGET if budget is None else budget
     if budget < 1:
         raise DomainError("budget must be positive")
     coords, words = _subset_mesh(fractal, N, depth, mesh == "anchor")
@@ -796,9 +790,8 @@ def exhaustive_minimize(fractal: Fractal, N: int, s: float, depth: int,
         )
     kernel = _point_kernel(coords, coords, s)
     np.fill_diagonal(kernel, 0.0)
-    best_e, best = _first_best(
-        coords.shape[0], N, lambda sub: float(kernel[np.ix_(sub, sub)].sum()))
-    if best is None:
+    least, best = _first_best(kernel, N, lambda block: float(block.sum()))
+    if least == math.inf:
         raise SingularConfigurationError("every candidate subset contains coincident points")
     pts = coords[list(best)]
     return _result(fractal, s, pts, words(best), "exhaustive", True, count, _pair_pass(pts, s),
@@ -946,8 +939,6 @@ def _local_search_state(fractal: Fractal, N: int, s: float, opts: SearchOptions,
         raise HypothesisError(
             "local search needs a certified positive separation (sigma > 0)"
         )
-    if N < 2:
-        raise DomainError("need at least two points")
     if s <= 0.0:
         raise DomainError("exponent s must be positive")
     M = len(fractal.maps)
@@ -1018,9 +1009,8 @@ def _minima(fractal: Fractal, s: float, N_values, opts: SearchOptions) -> dict:
     """
     M = len(fractal.maps)
     if opts.strategy == "exhaustive":
-        budget = DEFAULT_SUBSET_BUDGET if opts.budget is None else opts.budget
         depth = opts.depth or _auto_depth(M, max(N_values))
-        return {N: exhaustive_minimize(fractal, N, s, depth, budget=budget) for N in N_values}
+        return {N: exhaustive_minimize(fractal, N, s, depth, budget=opts.budget) for N in N_values}
     if opts.strategy == "lift-seeded" and M < 2:
         raise HypothesisError("lifting needs at least two maps")
     if any(N < 2 for N in N_values):
@@ -1173,7 +1163,7 @@ def best_packing(fractal: Fractal, N: int, depth: int = None,
     dist = np.sqrt(_sq_dists(coords, coords))
     np.fill_diagonal(dist, np.inf)
     if math.comb(K, N) <= budget:
-        least, best = _first_best(K, N, lambda sub: -float(dist[np.ix_(sub, sub)].min()))
+        least, best = _first_best(dist, N, lambda block: -float(block.min()))
         best_delta = -least
         chosen = list(best)
         certified = True

@@ -37,22 +37,25 @@ def _usable_cores() -> int:
         return 1
 
 
-def _run_child(task_fn, items, start: int, step: int, write_fd: int):
-    """Body of a forked worker: run items start, start + step, ... and exit.
+def _share(task_fn, items, start: int, step: int):
+    """Run items start, start + step, ...: (None, [(index, result), ...]),
+    or (index, exception) for the first of them that raised."""
+    done = []
+    try:
+        for i in range(start, len(items), step):
+            done.append((i, task_fn(items[i])))
+    except Exception as exc:
+        return i, exc
+    return None, done
 
-    Sends (None, [(index, result), ...]), or (index, exception) for the
-    first item that raised, pickled; then leaves with os._exit, so that no
-    cleanup of the parent's (atexit handlers, buffered output) runs twice.
-    """
+
+def _run_child(task_fn, items, start: int, step: int, write_fd: int):
+    """Body of a forked worker: send its _share pickled, then leave with
+    os._exit, so that no cleanup of the parent's (atexit handlers, buffered
+    output) runs twice."""
     status = 1
     try:
-        done = []
-        try:
-            for i in range(start, len(items), step):
-                done.append((i, task_fn(items[i])))
-            sent = (None, done)
-        except Exception as exc:
-            sent = (i, exc)
+        sent = _share(task_fn, items, start, step)
         with os.fdopen(write_fd, "wb") as out:
             out.write(pickle.dumps(sent))
         status = 0
@@ -78,11 +81,12 @@ def parallel_map(task_fn, items) -> list:
     """[task_fn(x) for x in items], on one forked process per usable core.
 
     With w = min(len(items), usable cores) >= 2, w - 1 children are forked;
-    child g runs items g, g + w, ... while this process runs items 0, w,
-    2w, ..., then reads each child's pipe to EOF and reaps it.  The results
-    come back in item order.  If items raise, the exception of the first
-    failing item in item order is raised with its own type, so error exit
-    codes are kept; a worker killed by a signal raises RuntimeError.
+    child g runs its share, items g, g + w, ..., while this process runs
+    items 0, w, 2w, ... by the same loop (_share), then reads each child's
+    pipe to EOF and reaps it.  The results come back in item order.  If
+    items raise, the exception of the first failing item in item order is
+    raised with its own type, so error exit codes are kept; a worker killed
+    by a signal raises RuntimeError.
     Workers still running when this process raises, KeyboardInterrupt
     included, are killed and reaped, so none outlives the call.  With
     w < 2, or without os.fork, the items run here in order.
@@ -110,22 +114,15 @@ def parallel_map(task_fn, items) -> list:
                 _run_child(task_fn, items, g, w, write_fd)
             os.close(write_fd)
             children[pid] = os.fdopen(read_fd, "rb")
+        shares = [_share(task_fn, items, 0, w)]
+        shares += [_collect(children, pid) for pid in list(children)]
+        failed = [share for share in shares if share[0] is not None]
+        if failed:
+            raise min(failed, key=lambda share: share[0])[1]
         results = [None] * len(items)
-        failed = None  # (index, exception) of the first failing item
-        try:
-            for i in range(0, len(items), w):
-                results[i] = task_fn(items[i])
-        except Exception as exc:
-            failed = (i, exc)
-        for pid in list(children):
-            first, sent = _collect(children, pid)
-            if first is None:
-                for i, value in sent:
-                    results[i] = value
-            elif failed is None or first < failed[0]:
-                failed = (first, sent)
-        if failed is not None:
-            raise failed[1]
+        for _, done in shares:
+            for i, value in done:
+                results[i] = value
         return results
     finally:
         if children:

@@ -93,6 +93,38 @@ def test_exhaustive_budget_enforced(cantor13):
         rf.exhaustive_minimize(cantor13, 3, 2.0, depth=4, budget=5)
 
 
+def test_first_best_keeps_the_first_of_equal_scores():
+    # every 3-subset of an all-equal matrix scores the same
+    assert rf.minimize._first_best(np.ones((5, 5)), 3, lambda block: float(block.sum())) \
+        == (9.0, (0, 1, 2))
+
+
+def test_exhaustive_raises_when_every_subset_holds_coincident_points():
+    # uniform(3, 0.5) overlaps: its 9 endpoint rows at depth 1 hold only 5
+    # distinct points, so every 6-subset repeats one and sums to inf
+    with pytest.warns(rf.DegenerateFractalWarning), pytest.warns(rf.SeparationWarning):
+        fractal = rf.uniform_line(3, 0.5)
+    assert np.unique(rf.minimize._Mesh(fractal).level(1), axis=0).shape[0] == 5
+    with pytest.raises(rf.SingularConfigurationError):
+        rf.exhaustive_minimize(fractal, 6, 2.0, depth=1, mesh="endpoint")
+
+
+# the two certified oracles on one mesh: the energy minimum E has a pair at
+# least as close as the best packing's delta, and the packing's
+# N (N - 1) ordered pairs are all at least delta apart, so
+# 2 delta**(-s) <= E <= N (N - 1) delta**(-s)
+@pytest.mark.parametrize("name, depth", [("cantor(1/3)", 3), ("cantor-dust-2d(1/4)", 1)])
+@pytest.mark.parametrize("s", [3.0, 30.0, 100.0])
+@pytest.mark.parametrize("N", range(2, 7))
+def test_energy_minimum_sandwiched_by_best_packing(name, depth, s, N):
+    fractal = rf.from_catalog(name)
+    packing = rf.best_packing(fractal, N, depth=depth)
+    assert packing.certified
+    energy = rf.exhaustive_minimize(fractal, N, s, depth, mesh="endpoint").record.energy
+    scale = packing.delta ** -s
+    assert 2.0 * scale * (1.0 - 1e-12) <= energy <= N * (N - 1) * scale * (1.0 + 1e-12)
+
+
 def test_dispatch_passes_subset_budget(cantor13):
     # C(16, 3) = 560 anchor subsets at depth 4
     opts = rf.SearchOptions(depth=4, strategy="exhaustive", budget=559)

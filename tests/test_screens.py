@@ -186,7 +186,8 @@ def test_screened_sweep_matches_reference_bitwise(case):
     with pytest.MonkeyPatch.context() as mp:
         for name, value in knobs.items():
             mp.setattr(minimize, name, value)
-        for _ in range(minimize._MAX_SWEEPS):
+        expected = None
+        while expected != 0:  # to the first sweep that accepts nothing, as _run_search
             expected = _reference_sweep(fractal, s, ref, max_depth, ref_mesh, ref_kernels, budget)
             got = minimize._sweep(fractal, s, new, max_depth, new_mesh, new_kernels, budget)
             assert got == expected
@@ -194,21 +195,16 @@ def test_screened_sweep_matches_reference_bitwise(case):
             assert new_kernels.keys() == ref_kernels.keys()
             for d, (G, _) in new_kernels.items():
                 assert G.tobytes() == ref_kernels[d].tobytes()
-            if expected == 0:
-                break
 
 
 def _reference_search(fractal, s, state, max_depth, budget):
     """_run_search's loop over _reference_sweep: (accepted moves, level kernels)."""
     mesh, kernels, total = _Mesh(fractal), {}, 0
-    for _ in range(minimize._MAX_SWEEPS):
-        left = budget - total
-        if left <= 0:
+    while total < budget:
+        accepted = _reference_sweep(fractal, s, state, max_depth, mesh, kernels, budget - total)
+        if not accepted:
             break
-        accepted = _reference_sweep(fractal, s, state, max_depth, mesh, kernels, left)
         total += accepted
-        if accepted == 0:
-            break
     return total, kernels
 
 
