@@ -24,7 +24,7 @@ from .asymptotics import (
     separation_samples,
     tail_bound,
 )
-from .cli import ExperimentConfig, emit_plot_data, main, run
+from .cli import ExperimentConfig, main, run
 from .energy import (
     ENERGY_CONVENTION,
     Configuration,
@@ -88,7 +88,7 @@ __all__ = [
     "gap_certificate", "geometric_limit", "iterated_lift_bound",
     "monotonicity_check", "pigeonhole_bound", "scaling_exponent_fit",
     "separation_samples", "tail_bound",
-    "ExperimentConfig", "emit_plot_data", "main", "run",
+    "ExperimentConfig", "main", "run",
     "ENERGY_CONVENTION", "Configuration", "EnergyRecord", "covering_radius",
     "cross_energy", "fractal_covering_radius", "min_pairwise_distance",
     "normalized_energy", "point_energy_sums",

@@ -23,7 +23,7 @@ from .errors import (
     DomainError,
     HypothesisError,
 )
-from .fractal import Fractal, _word_text, anchor_cloud, cell_diameter
+from .fractal import Fractal, _cell_word, _word_text, anchor_cloud, cell_diameter
 from .minimize import (
     SearchOptions,
     _level_words,
@@ -406,6 +406,7 @@ def empirical_cell_measure(fractal: Fractal, config, depth: int) -> CellMeasureR
     the rest by nearest depth-l anchor, accepted only when the distance is
     within the cell diameter (anchors of distinct cells are separated, so
     on-fractal points classify correctly; ties break lexicographically).
+    An address letter outside 1..M is a DomainError, as in cell_anchor.
     """
     if depth < 1:
         raise DomainError("depth must be at least 1")
@@ -418,7 +419,7 @@ def empirical_cell_measure(fractal: Fractal, config, depth: int) -> CellMeasureR
     addrs = config.addresses
     for i in range(config.n):
         if addrs is not None and len(addrs[i]) >= depth:
-            counts[addrs[i][:depth]] += 1
+            counts[_cell_word(addrs[i], M)[:depth]] += 1
             continue
         if anchors is None:
             anchors = anchor_cloud(fractal, depth)
@@ -500,14 +501,18 @@ def monotonicity_check(fractal: Fractal, s: float, N_range,
 def scaling_exponent_fit(samples):
     """Least-squares slope/intercept of log(value) against log(N).
 
-    Returns (slope, intercept, residual) with residual the RMS misfit.
+    Returns (slope, intercept, residual) with residual the RMS misfit.  A
+    sample that is not positive and finite, or fewer than two distinct N,
+    is a DomainError.
     """
     rows = [(float(n), float(v)) for n, v in samples]
     if len(rows) < 4:
         raise DomainError("need at least 4 samples")
     for n, v in rows:
-        if n <= 0.0 or v <= 0.0:
-            raise DomainError("samples must be positive")
+        if not (0.0 < n < math.inf and 0.0 < v < math.inf):  # NaN fails both
+            raise DomainError("samples must be positive and finite")
+    if len({n for n, _ in rows}) < 2:
+        raise DomainError("need samples at two or more distinct N")
     logn = np.log([n for n, _ in rows])
     logv = np.log([v for _, v in rows])
     slope, intercept = np.polyfit(logn, logv, 1)

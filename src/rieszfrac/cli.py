@@ -1,4 +1,4 @@
-"""Command line front end: catalog fractals, run experiments, emit plot data.
+"""Command line front end: catalog fractals and run experiments.
 
 Every run is a pure function of its flags (or config document): numeric CSV
 columns are printed at 17 significant digits, summaries are sorted JSON, and
@@ -57,7 +57,7 @@ from .minimize import (
     best_packing,
     local_search_minimize,
 )
-from .serialize import configuration_to_csv, fmt_float, read_table, write_table
+from .serialize import configuration_to_csv, fmt_float, write_table
 
 _ENERGY_NOTE = "energy convention: ordered pairs, sum over i != j of |xi - xj|^(-s)"
 
@@ -349,61 +349,6 @@ def run(config, out_dir: str = ".") -> dict:
 
 
 # ---------------------------------------------------------------------------
-# plot data extraction
-
-
-def _read_table_rows(path: str):
-    if not os.path.exists(path):
-        raise UsageError(f"missing experiment artifact: {path}")
-    return read_table(path)
-
-
-def _write_dat(path: str, columns, rows):
-    lines = ["# " + " ".join(columns)]
-    for row in rows:
-        lines.append(" ".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def emit_plot_data(out_dir: str, kind: str = None) -> list:
-    """Convert run artifacts to whitespace tables; returns written paths."""
-    written = []
-    want = lambda k: kind is None or kind == k
-    gcurve_csv = os.path.join(out_dir, "g_curve.csv")
-    if want("gcurve") and (kind == "gcurve" or os.path.exists(gcurve_csv)):
-        header, rows = _read_table_rows(gcurve_csv)
-        ti, ei = header.index("theta"), header.index("estimate")
-        path = os.path.join(out_dir, "plot_gcurve.dat")
-        _write_dat(path, ["theta", "g_estimate"], [[r[ti], r[ei]] for r in rows])
-        written.append(path)
-    limit_csv = os.path.join(out_dir, "geometric_limit.csv")
-    if (want("limit") or want("separation")) and \
-            (kind in ("limit", "separation") or os.path.exists(limit_csv)):
-        header, rows = _read_table_rows(limit_csv)
-        ki, ni = header.index("k"), header.index("N")
-        vi, di = header.index("normalized"), header.index("min_distance")
-        if want("limit"):
-            path = os.path.join(out_dir, "plot_limit.dat")
-            _write_dat(path, ["k", "normalized_energy"],
-                       [[r[ki], r[vi]] for r in rows if int(r[ki]) >= 1])
-            written.append(path)
-        if want("separation"):
-            sep_rows = []
-            for r in rows:
-                n, delta = int(r[ni]), float(r[di])
-                if n >= 2 and delta > 0.0 and math.isfinite(delta):
-                    sep_rows.append([fmt_float(math.log(n)),
-                                     fmt_float(math.log(delta))])
-            path = os.path.join(out_dir, "plot_separation.dat")
-            _write_dat(path, ["log_N", "log_min_distance"], sep_rows)
-            written.append(path)
-    if not written:
-        raise UsageError(f"no experiment artifacts found in {out_dir}")
-    return written
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 
 
@@ -500,11 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("plot-data", help="emit gnuplot-style tables from run artifacts")
-    p.add_argument("--from", dest="src", default=".", help="directory with run artifacts")
-    p.add_argument("--kind", choices=["gcurve", "limit", "separation"], default=None)
-    p.set_defaults(func=_cmd_plot_data)
-
     return parser
 
 
@@ -530,12 +470,6 @@ def _dispatch(args) -> int:
 
 def _cmd_run(args) -> int:
     print(_summary_json(run(args.config, args.out)))
-    return 0
-
-
-def _cmd_plot_data(args) -> int:
-    for path in emit_plot_data(args.src, args.kind):
-        print(path)
     return 0
 
 

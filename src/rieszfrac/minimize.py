@@ -1151,7 +1151,8 @@ def best_packing(fractal: Fractal, N: int, depth: int = None,
     depth None is the least depth with M**l >= N, reported as
     PackingResult.depth.  Exhaustive (certified) while the subset count
     fits the budget (None is DEFAULT_SUBSET_BUDGET), otherwise a
-    farthest-point greedy start with single-point exchange sweeps.
+    farthest-point greedy start with single-point exchange sweeps, until a
+    sweep accepts none.
     """
     if depth is None:
         depth = _auto_depth(len(fractal.maps), N)
@@ -1171,7 +1172,8 @@ def best_packing(fractal: Fractal, N: int, depth: int = None,
     else:
         chosen = _farthest_point_indices(coords, N)
         best_delta = float(dist[np.ix_(chosen, chosen)].min())
-        for _ in range(100):
+        improved = True
+        while improved:  # ends: each exchange raises best_delta, a pair distance
             improved = False
             for i in range(N):
                 others = [c for j, c in enumerate(chosen) if j != i]
@@ -1184,8 +1186,6 @@ def best_packing(fractal: Fractal, N: int, depth: int = None,
                     chosen[i] = j
                     best_delta = float(cand[j])
                     improved = True
-            if not improved:
-                break
         certified = False
         strategy = "greedy-exchange"
     config = Configuration(

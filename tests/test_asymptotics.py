@@ -489,6 +489,14 @@ def test_cell_measure_validation(cantor13):
             cantor13, rf.Configuration(np.array([0.0])), depth=0)
 
 
+@pytest.mark.parametrize("letter", [3, 0])
+def test_cell_measure_rejects_an_address_letter_outside_1_to_M(cantor13, letter):
+    # cantor(1/3) has M = 2 maps; a letter outside 1..2 names no cell
+    cfg = rf.Configuration([[0.0], [1.0]], addresses=((1, 1), (letter, 1)))
+    with pytest.raises(rf.DomainError, match=f"address index {letter} outside 1..2"):
+        rf.empirical_cell_measure(cantor13, cfg, depth=1)
+
+
 def test_g_curve_runs_one_lift_chain_per_n0(monkeypatch, cantor13):
     # N = 2..96 under lift-seeded: the N = n0 * 2**k of one n0 read one chain,
     # 48 chains (n0 = 2 and every odd n0), each with one stage-0 search; the
@@ -592,6 +600,21 @@ def test_scaling_fit_validation():
         rf.scaling_exponent_fit([(2, 1.0), (3, 1.0)])
     with pytest.raises(rf.DomainError):
         rf.scaling_exponent_fit([(2, 1.0), (3, -1.0), (4, 1.0), (5, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_scaling_fit_rejects_non_finite_samples(bad, column):
+    samples = [[2, 1.0], [3, 1.0], [4, 1.0], [5, 1.0]]
+    samples[1][column] = bad
+    with pytest.raises(rf.DomainError, match="positive and finite"):
+        rf.scaling_exponent_fit(samples)
+
+
+def test_scaling_fit_needs_two_distinct_n():
+    # one N gives no slope: polyfit would warn RankWarning and fit anyway
+    with pytest.raises(rf.DomainError, match="two or more distinct N"):
+        rf.scaling_exponent_fit([(2, v) for v in (1.0, 2.0, 3.0, 4.0)])
 
 
 def test_separation_samples(cantor13):

@@ -936,11 +936,24 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert rf.main(["frobnicate"]) == 2
 
 
+def test_readme_cli_block_names_every_subcommand():
+    # README's CLI block runs in CI; a command it names must exist, and
+    # every command must appear in it
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"```sh\n(.*?)```", text[text.index("## CLI"):], re.S).group(1)
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("rieszfrac ")}
+    commands = next(a for a in rf.cli._main_parser()._actions if a.dest == "command")
+    assert named == set(commands.choices)
+
+
 @pytest.mark.parametrize("argv", [
     ["minimize", "--fractal", "cantor(1/3)", "--n", "8"],  # no --s
     ["minimize", "--fractal", "cantor(1/3)", "--s", "3", "--n", "eight"],
     ["frobnicate"],
-], ids=["missing-s", "n-eight", "unknown-subcommand"])
+    ["plot-data", "--from", "."],  # a removed command
+], ids=["missing-s", "n-eight", "unknown-subcommand", "plot-data"])
 def test_flag_errors_print_one_json_error(argv, tmp_path, capsys):
     assert rf.main(argv + ["--out", str(tmp_path / "out")]) == 2
     printed = capsys.readouterr().out.splitlines()
@@ -948,41 +961,6 @@ def test_flag_errors_print_one_json_error(argv, tmp_path, capsys):
     error = json.loads(printed[0])["error"]
     assert error["type"] == "UsageError" and error["exit_code"] == 2 and error["message"]
     assert not (tmp_path / "out").exists()
-
-
-# ------------------------------------------------------------------ plot data
-
-def test_plot_data_from_geometric_limit(tmp_path, capsys):
-    out = str(tmp_path)
-    rf.main(["geometric-limit", "--fractal", "cantor(1/3)", "--s", "3",
-             "--k-max", "3", "--out", out])
-    capsys.readouterr()
-    code = rf.main(["plot-data", "--from", out])
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "plot_limit.dat" in printed and "plot_separation.dat" in printed
-    with open(os.path.join(out, "plot_limit.dat")) as fh:
-        lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
-    # k = 0 row is dropped: the limit plot starts at the first lift
-    assert [ln.split()[0] for ln in lines] == ["1", "2", "3"]
-
-
-def test_plot_data_missing_artifact(tmp_path, capsys):
-    os.makedirs(str(tmp_path / "empty"), exist_ok=True)
-    code = rf.main(["plot-data", "--from", str(tmp_path / "empty"),
-                    "--kind", "gcurve"])
-    assert code == 2
-
-
-def test_plot_data_gcurve(tmp_path, capsys):
-    out = str(tmp_path)
-    rf.main(["g-curve", "--fractal", "cantor(1/3)", "--s", "3",
-             "--bins", "4", "--n-min", "2", "--n-max", "8", "--out", out])
-    capsys.readouterr()
-    assert rf.main(["plot-data", "--from", out, "--kind", "gcurve"]) == 0
-    with open(os.path.join(out, "plot_gcurve.dat")) as fh:
-        rows = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
-    assert len(rows) == 4
 
 
 # --------------------------------------------------------------- determinism
